@@ -20,7 +20,7 @@ import numpy as np
 from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan, measure_plan, reconstruct
 from ..workload.rangequery import Workload
-from .mechanisms import PrivacyBudget, as_rng
+from .mechanisms import PrivacyBudget, as_rng, check_epsilon
 
 __all__ = ["Algorithm", "AlgorithmProperties", "PlanAlgorithm", "validate_input"]
 
@@ -62,9 +62,10 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
     """Validate and normalise an input count array.
 
     Returns a float copy of ``x``; raises ``ValueError`` on negative counts,
-    unsupported dimensionality, or a non-positive epsilon.  The input is
-    copied exactly once: when ``asarray`` already had to convert (non-float
-    dtype, nested lists) its result is a fresh array and is returned as-is.
+    unsupported dimensionality, or an epsilon that is not finite and
+    positive.  The input is copied exactly once: when ``asarray`` already had
+    to convert (non-float dtype, nested lists) its result is a fresh array
+    and is returned as-is.
     """
     original = x
     # asanyarray, not asarray: ndarray subclasses (the taint sanitizer's
@@ -80,8 +81,7 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
         raise ValueError("input counts must be non-negative")
     if not np.isfinite(x).all():
         raise ValueError("input counts must be finite")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     if isinstance(original, np.ndarray) and np.shares_memory(x, original):
         x = x.copy()
     return x
@@ -137,7 +137,7 @@ class Algorithm(ABC):
         x:
             The true count array (1-D or 2-D, non-negative).
         epsilon:
-            Total privacy budget for this invocation.
+            Total privacy budget for this invocation; finite and positive.
         workload:
             The range-query workload; workload-aware algorithms (GreedyH,
             MWEM, DAWA) consult it, others ignore it.

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "as_rng",
+    "check_epsilon",
     "laplace_noise",
     "laplace_mechanism",
     "geometric_mechanism",
@@ -36,6 +37,20 @@ def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if rng is None or isinstance(rng, numbers.Integral):
         return np.random.default_rng(rng)
     raise TypeError(f"cannot interpret {rng!r} as a random generator")
+
+
+def check_epsilon(epsilon: float, what: str = "epsilon") -> float:
+    """Return ``epsilon`` as a float, or raise ``ValueError`` unless it is
+    finite and positive.
+
+    The public boundaries (algorithm input, the budget accountant, the
+    release service) use this: NaN slips past ``epsilon <= 0`` and releases
+    garbage, and an infinite budget releases the exact data.  Only the
+    mechanism primitives keep their documented ``epsilon=inf`` limit.
+    """
+    if not 0 < epsilon < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"{what} must be finite and positive, got {epsilon}")
+    return float(epsilon)
 
 
 def laplace_noise(scale: float, size, rng: np.random.Generator) -> np.ndarray:
@@ -143,9 +158,7 @@ class PrivacyBudget:
     """
 
     def __init__(self, epsilon: float):
-        if epsilon <= 0:
-            raise ValueError(f"total epsilon must be positive, got {epsilon}")
-        self._total = float(epsilon)
+        self._total = check_epsilon(epsilon, "total epsilon")
         self._spent = 0.0
         self._log: list[tuple[str, float]] = []
 
@@ -172,8 +185,7 @@ class PrivacyBudget:
         A tiny tolerance absorbs floating-point drift when an algorithm spends
         its budget in several exact fractions.
         """
-        if epsilon <= 0:
-            raise ValueError(f"cannot spend a non-positive epsilon ({epsilon})")
+        check_epsilon(epsilon, "a spent epsilon")
         if self._spent + epsilon > self._total * (1 + 1e-9):
             raise BudgetExceededError(
                 f"spending {epsilon} would exceed remaining budget {self.remaining}"

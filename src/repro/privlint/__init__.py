@@ -28,7 +28,6 @@ from .dataflow import (
     DATAFLOW_RULES,
     PROJECT_RULES_BY_ID,
     ProjectAnalysis,
-    analyze_paths,
     analyze_sources,
 )
 from .engine import (
@@ -64,7 +63,6 @@ __all__ = [
     "SanitizedNoise",
     "TaintedArray",
     "UNUSED_SUPPRESSION_RULE",
-    "analyze_paths",
     "analyze_sources",
     "apply_baseline",
     "is_tainted",

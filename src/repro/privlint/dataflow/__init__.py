@@ -15,17 +15,18 @@ package closes that gap with a three-phase whole-project analysis:
    parameters/returns carry true-data taint, epsilon, and RNG state, and
    :mod:`.rules` evaluates PL007–PL010 over them.
 
-Entry points: :func:`analyze_paths` for files on disk (with optional summary
-cache), :func:`analyze_sources` for in-memory modules (tests, quickstart).
+Entry points: :func:`module_facts` takes one module's facts from the
+:class:`~repro.privlint.engine.ModuleContext` the linter already parsed (or
+from the summary cache), and :func:`analyze_sources` links a project of
+facts or plain ``{path: source}`` modules (tests, quickstart).
 """
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from ..engine import iter_python_files, parse_suppressions
+from ..engine import ModuleContext
 from .cache import FactsCache
 from .callgraph import Project
 from .engine import ProjectAnalysis, Witness, analyze_project
@@ -40,48 +41,51 @@ __all__ = [
     "Project",
     "ProjectAnalysis",
     "Witness",
-    "analyze_paths",
     "analyze_project",
     "analyze_sources",
     "extract_module_facts",
+    "module_facts",
 ]
 
 
-def analyze_sources(sources: Mapping[str, str],
+def analyze_sources(sources: Mapping[str, str | ModuleContext | ModuleFacts],
                     cache: FactsCache | None = None) -> ProjectAnalysis:
     """Analyse a ``{path: source}`` mapping as one project.
 
-    Unparseable modules are skipped (the module-rule engine already reports
+    A value may instead be an already-parsed
+    :class:`~repro.privlint.engine.ModuleContext`, or the facts
+    :func:`module_facts` already took from one (what
+    :func:`~repro.privlint.engine.lint_paths` hands over), so no file is
+    parsed twice.  Plain sources are parsed only on a cache miss;
+    unparseable ones are skipped (the module-rule engine already reports
     syntax errors; the dataflow analysis just sees a smaller project).
     """
     modules: dict[str, ModuleFacts] = {}
     for path, source in sources.items():
-        posix = Path(path).as_posix()
-        facts = cache.get(posix, source) if cache is not None else None
-        if facts is None:
+        if isinstance(source, ModuleFacts):
+            facts = source
+        else:
             try:
-                tree = ast.parse(source, filename=posix)
+                facts = module_facts(Path(path).as_posix(), source, cache)
             except SyntaxError:
                 continue
-            facts = extract_module_facts(
-                source, posix, tree=tree,
-                suppressions=parse_suppressions(source))
-            if cache is not None:
-                cache.put(posix, source, facts)
         modules[facts.path] = facts
     if cache is not None:
         cache.save()
     return analyze_project(Project(modules))
 
 
-def analyze_paths(paths: Iterable[str | Path],
-                  cache_path: str | Path | None = None) -> ProjectAnalysis:
-    """Analyse every ``*.py`` under ``paths`` as one project."""
-    sources: dict[str, str] = {}
-    for file_path in iter_python_files(paths):
-        try:
-            sources[file_path.as_posix()] = file_path.read_text(
-                encoding="utf-8")
-        except OSError:
-            continue
-    return analyze_sources(sources, cache=FactsCache(cache_path))
+def module_facts(path: str, module: str | ModuleContext,
+                 cache: FactsCache | None = None) -> ModuleFacts:
+    """The facts of one module: from ``cache`` when its source is unchanged,
+    else extracted from ``module`` (a plain source is parsed here, and a
+    ``SyntaxError`` propagates)."""
+    source = module.source if isinstance(module, ModuleContext) else module
+    facts = cache.get(path, source) if cache is not None else None
+    if facts is None:
+        if not isinstance(module, ModuleContext):
+            module = ModuleContext(path, source)
+        facts = extract_module_facts(module)
+        if cache is not None:
+            cache.put(path, source, facts)
+    return facts

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..engine import absolute_name
 from .facts import CallFacts, FunctionFacts, ModuleFacts
 
 __all__ = ["CallTargets", "ClassInfo", "Project"]
@@ -46,9 +47,6 @@ class ClassInfo:
     descendants: set[ClassKey] = field(default_factory=set)
     component: int = -1           #: weakly-connected family id
     attr_types: dict[str, set[ClassKey]] = field(default_factory=dict)
-
-    def method_names(self) -> tuple[str, ...]:
-        return self.facts.methods
 
 
 @dataclass
@@ -99,8 +97,8 @@ class Project:
             return None
         head, _, rest = dotted.partition(".")
         if head in module.imports:
-            absolute = module.imports[head] + (("." + rest) if rest else "")
-            return self._resolve_absolute(absolute, _hops + 1)
+            return self._resolve_absolute(absolute_name(module.imports, dotted),
+                                          _hops + 1)
         if not rest:
             if head in module.classes:
                 return ("class", (module.path, head))
@@ -145,16 +143,9 @@ class Project:
             if head in module.dispatch_dicts:
                 return ("dict", (module.path, head))
         if head in module.imports:  # package __init__ re-export hop
-            absolute = module.imports[head] + (("." + tail) if tail else "")
-            return self._resolve_absolute(absolute, _hops + 1)
+            return self._resolve_absolute(absolute_name(module.imports, rest),
+                                          _hops + 1)
         return ("external", f"{module.module}.{rest}" if module.module else rest)
-
-    def resolve_external_dotted(self, module: ModuleFacts, dotted: str) -> str:
-        """Absolute spelling of ``dotted`` for axiomatic matching (numpy etc.)."""
-        head, _, rest = dotted.partition(".")
-        if head in module.imports:
-            return module.imports[head] + (("." + rest) if rest else "")
-        return dotted
 
     # -- class table --------------------------------------------------------------
     def _build_class_table(self) -> None:
@@ -201,9 +192,6 @@ class Project:
     def family(self, key: ClassKey) -> set[ClassKey]:
         info = self.classes[key]
         return {key} | info.ancestors | info.descendants
-
-    def component_classes(self, component: int) -> list[ClassInfo]:
-        return [c for c in self.classes.values() if c.component == component]
 
     def find_method(self, key: ClassKey, name: str) -> FuncKey | None:
         """MRO-ish lookup: the class itself, then ancestors."""

@@ -42,15 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..engine import absolute_name
+from ..policy import DATA_NAMES, GENERATOR_DRAWS
 from .callgraph import FuncKey, Project
 from .facts import CallFacts, FunctionFacts
 
 __all__ = ["ProjectAnalysis", "Witness", "analyze_project"]
-
-#: PL002's data-name vocabulary: parameters/attributes spelled like the true
-#: histogram are taint sources at analysis entry points.
-DATA_NAMES = {"x", "data", "counts", "histogram", "true_x", "true_data",
-              "raw_data", "dataset"}
 
 #: Mechanism primitives and their noise-scale parameter (axiomatic PL008
 #: sinks) — matched by resolved location *or*, for unresolved callees, by
@@ -77,15 +74,6 @@ DECLASSIFIERS = set(NOISE_SCALE_PARAMS) | {"measure_plan"}
 CLEAN_BUILTINS = {"len", "range", "enumerate", "int", "float", "bool", "str",
                   "repr", "type", "isinstance", "hasattr"}
 
-#: Generator-method draws and the (kwarg, positional index) of their scale.
-GENERATOR_DRAWS = {
-    "laplace": ("scale", 1),
-    "normal": ("scale", 1),
-    "gumbel": ("scale", 1),
-    "exponential": ("scale", 0),
-    "geometric": ("p", 0),
-}
-
 #: Fresh-generator constructors (absolute dotted names).
 FRESH_RNG_CALLS = {
     "numpy.random.default_rng", "numpy.random.RandomState",
@@ -98,9 +86,6 @@ BUDGET_TOKENS = ("budget", "allocation", "share", "epsilons", "split", "spend")
 
 #: Parameter names that *are* the raw budget.
 RAW_EPSILON_NAMES = {"epsilon", "eps"}
-
-#: Modules where fresh-generator construction is the contract, not a bug.
-RNG_ENTRY_POINTS = ("core/executor.py", "core/benchmark.py")
 
 
 @dataclass(frozen=True)
@@ -212,10 +197,10 @@ def _draw_scale_tokens(call: CallFacts) -> tuple[str, set[str]] | None:
     return (draw, tokens)
 
 
-def _iter_bindings(project: Project, fkey: FuncKey, call: CallFacts):
+def iter_bindings(project: Project, fkey: FuncKey, call: CallFacts):
     """Yield ``(callee_key, callee_facts, {param: tokens})`` for a call site."""
     targets = project.resolve_call(fkey, call)
-    for callee in targets.functions:
+    for callee in sorted(targets.functions):
         callee_facts = project.functions[callee]
         yield callee, callee_facts, project.bind_args(call, callee_facts)
 
@@ -296,7 +281,7 @@ def _entry_taint_fixpoint(analysis: ProjectAnalysis) -> None:
                             changed = True
             # call bindings
             for call in fn.calls:
-                for callee, callee_facts, binding in _iter_bindings(
+                for callee, callee_facts, binding in iter_bindings(
                         project, fkey, call):
                     for param, tokens in binding.items():
                         if param not in param_taint[callee] \
@@ -460,7 +445,7 @@ def _scale_fixpoint(analysis: ProjectAnalysis) -> None:
                                     reason=f"{name}() noise scale")
                                 changed = True
                 # resolved callees with scale-reaching params
-                for callee, callee_facts, binding in _iter_bindings(
+                for callee, callee_facts, binding in iter_bindings(
                         project, fkey, call):
                     for param, tokens in binding.items():
                         if param not in scale_params[callee]:
@@ -551,7 +536,7 @@ def _rng_fixpoint(analysis: ProjectAnalysis) -> None:
                             sink_params[fkey][token[2:]] = Witness(
                                 reason=f"{primitive[0]}() generator")
                             changed = True
-                for callee, callee_facts, binding in _iter_bindings(
+                for callee, callee_facts, binding in iter_bindings(
                         project, fkey, call):
                     if callee_facts.name == "as_rng":
                         continue
@@ -580,7 +565,7 @@ def fresh_rng_token(analysis: ProjectAnalysis, fkey: FuncKey,
     if call is None or call.callee is None:
         return False
     mod = project.modules[fkey[0]]
-    absolute = project.resolve_external_dotted(mod, call.callee)
+    absolute = absolute_name(mod.imports, call.callee)
     if absolute in FRESH_RNG_CALLS:
         return True
     last = call.callee.rsplit(".", 1)[-1]

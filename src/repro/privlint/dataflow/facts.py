@@ -28,6 +28,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..engine import ModuleContext, dotted_name, import_table
+
 __all__ = [
     "CallFacts",
     "ClassFacts",
@@ -258,21 +260,6 @@ def module_name_for_path(path: str) -> str:
     return ".".join(parts)
 
 
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id == "super":
-        parts.append("super")
-        return ".".join(reversed(parts))
-    return None
-
-
 def _annotation_types(node: ast.AST | None) -> tuple[str, ...]:
     """Candidate dotted class names mentioned in an annotation expression.
 
@@ -289,7 +276,7 @@ def _annotation_types(node: ast.AST | None) -> tuple[str, ...]:
     names: list[str] = []
     for inner in ast.walk(node):
         if isinstance(inner, (ast.Name, ast.Attribute)):
-            dotted = _dotted(inner)
+            dotted = dotted_name(inner)
             if dotted and dotted not in ("None", "int", "float", "str", "bool"):
                 names.append(dotted)
     # keep outermost spellings only (an Attribute walk also yields its parts)
@@ -300,39 +287,6 @@ def _annotation_types(node: ast.AST | None) -> tuple[str, ...]:
             if name not in result:
                 result.append(name)
     return tuple(result)
-
-
-def _relative_base(module: str, is_package: bool, level: int) -> str:
-    parts = module.split(".") if module else []
-    if not is_package:
-        parts = parts[:-1]
-    if level > 1:
-        parts = parts[: len(parts) - (level - 1)] if level - 1 <= len(parts) else []
-    return ".".join(parts)
-
-
-def _collect_module_imports(tree: ast.Module, module: str,
-                            is_package: bool) -> dict[str, str]:
-    imports: dict[str, str] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    imports[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    imports[head] = head
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = _relative_base(module, is_package, node.level)
-                target = f"{base}.{node.module}" if node.module else base
-            else:
-                target = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                imports[alias.asname or alias.name] = f"{target}.{alias.name}"
-    return imports
 
 
 class _FunctionExtractor:
@@ -370,7 +324,7 @@ class _FunctionExtractor:
         for _ in range(2):
             for stmt in self.node.body:
                 self._stmt(stmt, locked=False)
-        decorators = tuple(d for d in (_dotted(dec) for dec
+        decorators = tuple(d for d in (dotted_name(dec) for dec
                                        in self.node.decorator_list) if d)
         qualname = (f"{self.class_name}.{self.node.name}"
                     if self.class_name else self.node.name)
@@ -423,7 +377,7 @@ class _FunctionExtractor:
             for item in stmt.items:
                 expr = item.context_expr
                 self._tokens(expr, locked)
-                target_dotted = _dotted(expr.func if isinstance(expr, ast.Call)
+                target_dotted = dotted_name(expr.func if isinstance(expr, ast.Call)
                                         else expr)
                 if _is_lockish(target_dotted):
                     now_locked = True
@@ -559,11 +513,11 @@ class _FunctionExtractor:
 
     def _record_call(self, node: ast.Call, locked: bool) -> str:
         key = f"c:{node.lineno}:{node.col_offset}"
-        callee = _dotted(node.func)
+        callee = dotted_name(node.func)
         subscript_of = None
         base_tokens: set[str] = set()
         if isinstance(node.func, ast.Subscript):
-            subscript_of = _dotted(node.func.value)
+            subscript_of = dotted_name(node.func.value)
             base_tokens = self._tokens(node.func.value, locked)
             self._tokens(node.func.slice, locked)
         elif isinstance(node.func, ast.Attribute):
@@ -599,21 +553,16 @@ class _FunctionExtractor:
         return key
 
 
-def extract_module_facts(source: str, path: str, tree: ast.Module | None = None,
-                         suppressions: dict[int, set[str]] | None = None,
-                         ) -> ModuleFacts:
-    """Extract all dataflow facts for one module (parses if no tree given)."""
-    if tree is None:
-        tree = ast.parse(source, filename=path)
-    posix = Path(path).as_posix()
-    module = module_name_for_path(posix)
-    is_package = posix.endswith("__init__.py")
+def extract_module_facts(module: ModuleContext) -> ModuleFacts:
+    """Extract all dataflow facts from one parsed module."""
+    name = module_name_for_path(module.path)
     facts = ModuleFacts(
-        path=posix, module=module,
-        imports=_collect_module_imports(tree, module, is_package),
-        suppressions=dict(suppressions or {}),
+        path=module.path, module=name,
+        imports=import_table(module.tree.body, name,
+                             module.path.endswith("__init__.py")),
+        suppressions=dict(module.suppressions),
     )
-    for node in tree.body:
+    for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = _FunctionExtractor(node, None).extract()
             facts.functions[fn.qualname] = fn
@@ -629,7 +578,7 @@ def extract_module_facts(source: str, path: str, tree: ast.Module | None = None,
 
 
 def _extract_class(node: ast.ClassDef, facts: ModuleFacts) -> None:
-    bases = tuple(b for b in (_dotted(base) for base in node.bases) if b)
+    bases = tuple(b for b in (dotted_name(base) for base in node.bases) if b)
     methods: list[str] = []
     attr_annotations: dict[str, tuple[str, ...]] = {}
     for stmt in node.body:
@@ -652,7 +601,7 @@ def _dispatch_entries(node: ast.Dict) -> dict[str, str]:
     table: dict[str, str] = {}
     for key, value in zip(node.keys, node.values):
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            dotted = _dotted(value)
+            dotted = dotted_name(value)
             if dotted:
                 table[key.value] = dotted
     return table

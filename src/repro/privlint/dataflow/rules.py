@@ -13,21 +13,23 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..findings import Finding
+from ..policy import (
+    DATA_NAMES,
+    POST_PROCESSING_STAGES,
+    RNG_ENTRY_POINTS,
+    in_budget_scope,
+)
 from .callgraph import FuncKey
 from .engine import (
-    DATA_NAMES,
-    RNG_ENTRY_POINTS,
     ProjectAnalysis,
     fresh_rng_token,
+    iter_bindings,
     raw_epsilon_token,
 )
 
 __all__ = ["DATAFLOW_RULES", "PROJECT_RULES_BY_ID", "BudgetFlowRule",
            "InterproceduralLeakRule", "LockDisciplineRule",
            "RngProvenanceRule"]
-
-#: Function names that begin the post-processing stage (the PL007 roots).
-_POST_PROCESSING_ROOTS = ("infer", "reconstruct")
 
 
 def _finding(rule, analysis: ProjectAnalysis, fkey: FuncKey, line: int,
@@ -53,7 +55,7 @@ class InterproceduralLeakRule:
         project = analysis.project
         follow = lambda fkey: analysis.touches_taint_clean.get(fkey)  # noqa: E731
         for fkey, fn in project.functions.items():
-            if fn.name not in _POST_PROCESSING_ROOTS:
+            if fn.name not in POST_PROCESSING_STAGES:
                 continue
             root = project.qualified(fkey)
             # (a) the root itself reads a tainted attribute (non-data-named:
@@ -106,23 +108,14 @@ class BudgetFlowRule:
                    "the accountant.")
     severity = "error"
 
-    _SCOPE = ("core/plan.py", "core/repair.py", "workload/selection.py")
-    _SANCTIONED = ("algorithms/mechanisms.py",)
-
-    def _in_scope(self, path: str) -> bool:
-        if any(path.endswith(s) for s in self._SANCTIONED):
-            return False
-        return any(path.endswith(s) for s in self._SCOPE) \
-            or "/algorithms/" in path
-
     def check_project(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
         project = analysis.project
         for fkey, fn in project.functions.items():
-            if not self._in_scope(fkey[0]):
+            if not in_budget_scope(fkey[0]):
                 continue
             for call in fn.calls:
-                for callee, callee_facts, binding in self._bindings(
-                        analysis, fkey, call):
+                for callee, callee_facts, binding in iter_bindings(
+                        project, fkey, call):
                     sinks = analysis.scale_params.get(callee, {})
                     for param, tokens in binding.items():
                         witness = sinks.get(param)
@@ -149,14 +142,6 @@ class BudgetFlowRule:
                             end_lineno=call.end_lineno)
                         break
 
-    @staticmethod
-    def _bindings(analysis: ProjectAnalysis, fkey: FuncKey, call):
-        project = analysis.project
-        targets = project.resolve_call(fkey, call)
-        for callee in sorted(targets.functions):
-            callee_facts = project.functions[callee]
-            yield callee, callee_facts, project.bind_args(call, callee_facts)
-
 
 class RngProvenanceRule:
     """PL009 — generators reaching a mechanism trace to the executor spawn."""
@@ -173,13 +158,13 @@ class RngProvenanceRule:
     def check_project(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
         project = analysis.project
         for fkey, fn in project.functions.items():
-            if any(fkey[0].endswith(entry) for entry in RNG_ENTRY_POINTS):
+            if fkey[0].endswith(RNG_ENTRY_POINTS):
                 continue
             if fn.name == "as_rng":
                 continue
             for call in fn.calls:
-                for callee, callee_facts, binding in BudgetFlowRule._bindings(
-                        analysis, fkey, call):
+                for callee, callee_facts, binding in iter_bindings(
+                        project, fkey, call):
                     if callee_facts.name == "as_rng":
                         continue
                     sinks = analysis.rng_sink_params.get(callee, {})

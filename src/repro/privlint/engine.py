@@ -1,9 +1,10 @@
 """The lint engine: parse modules, run rules, honour inline suppressions.
 
 The engine is deliberately self-contained (stdlib ``ast`` only) so the CLI can
-run in any environment that can import the package.  A module is parsed once
-into a :class:`ModuleContext` carrying the AST, a parent map and the resolved
-numpy import aliases; every rule walks that shared context.
+run in any environment that can import the package.  Every linted file is
+read once and parsed once into a :class:`ModuleContext` carrying the AST, the
+suppression map, a parent map and the import table; the module rules walk
+that shared context and the dataflow tier extracts its facts from it.
 
 Inline suppressions follow the familiar lint idiom::
 
@@ -19,14 +20,15 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .findings import Finding, ProjectRule, Rule
 
 __all__ = ["LintResult", "ModuleContext", "UNUSED_SUPPRESSION_RULE",
-           "lint_paths", "lint_source"]
+           "absolute_name", "dotted_name", "import_table", "lint_paths",
+           "lint_source"]
 
 _SUPPRESS_RE = re.compile(r"#\s*privlint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -42,27 +44,29 @@ def parse_suppressions(source: str) -> dict[int, set[str]]:
     return suppressions
 
 
-@dataclass
 class ModuleContext:
-    """Everything a rule needs to know about one parsed module."""
+    """Everything a rule needs to know about one parsed module.
 
-    path: str                      #: path as reported in findings (posix)
-    source: str
-    tree: ast.Module
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
+    Constructing one is the linter's single front-end: the source is parsed
+    once (``SyntaxError`` propagates) and the same context feeds the module
+    rules and the dataflow fact extractor.
+    """
 
-    def __post_init__(self):
+    def __init__(self, path: str, source: str):
+        self.path = path               #: path as reported in findings (posix)
+        self.source = source
+        self.tree = ast.parse(source, filename=path)
+        self.suppressions = parse_suppressions(source)
         self._parents: dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
-        self.numpy_aliases, self.numpy_random_aliases, self.from_imports = (
-            _collect_imports(self.tree))
+        #: every import in the module, nested ones included
+        self.imports = import_table(ast.walk(self.tree))
+        self.numpy_aliases = {name for name, target in self.imports.items()
+                              if target == "numpy"}
 
     # -- tree navigation ----------------------------------------------------------
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self._parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         current = self._parents.get(node)
         while current is not None:
@@ -74,48 +78,22 @@ class ModuleContext:
         return [a for a in self.ancestors(node)
                 if isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     # -- name resolution ----------------------------------------------------------
-    def dotted_name(self, node: ast.AST) -> str | None:
-        """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return ".".join(reversed(parts))
-        return None
-
     def is_numpy_random_call(self, call: ast.Call, attrs: set[str]) -> str | None:
         """The matched attribute if ``call`` invokes ``numpy.random.<attr>``.
 
         Resolves ``import numpy as np`` / ``from numpy import random`` /
         ``from numpy.random import default_rng`` spellings.
         """
-        name = self.dotted_name(call.func)
-        if name is None:
+        name = dotted_name(call.func)
+        if name is None or name.partition(".")[0] not in self.imports:
             return None
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] in self.numpy_aliases \
-                and parts[1] == "random" and parts[2] in attrs:
-            return parts[2]
-        if len(parts) == 2 and parts[0] in self.numpy_random_aliases \
-                and parts[1] in attrs:
-            return parts[1]
-        if len(parts) == 1 and self.from_imports.get(parts[0]) in {
-                f"numpy.random.{attr}" for attr in attrs}:
-            return self.from_imports[parts[0]].rsplit(".", 1)[1]
-        return None
+        module, _, attr = absolute_name(self.imports, name).rpartition(".")
+        return attr if module == "numpy.random" and attr in attrs else None
 
     def path_is(self, *suffixes: str) -> bool:
         """True when the module path ends with any of the posix ``suffixes``."""
-        return any(self.path.endswith(suffix) for suffix in suffixes)
+        return self.path.endswith(suffixes)
 
     # -- findings -----------------------------------------------------------------
     def finding(self, rule: Rule, node: ast.AST | int, message: str) -> Finding:
@@ -124,30 +102,67 @@ class ModuleContext:
                        severity=rule.severity, message=message)
 
 
-def _collect_imports(tree: ast.Module):
-    numpy_aliases: set[str] = set()
-    numpy_random_aliases: set[str] = set()
-    from_imports: dict[str, str] = {}
-    for node in ast.walk(tree):
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain (``super().m`` included), else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "super":
+        parts.append("super")
+    else:
+        return None
+    return ".".join(reversed(parts))
+
+
+def _relative_base(module: str, is_package: bool, level: int) -> str:
+    parts = module.split(".") if module else []
+    if not is_package:
+        parts = parts[:-1]
+    if level > 1:
+        parts = parts[: len(parts) - (level - 1)] if level - 1 <= len(parts) else []
+    return ".".join(parts)
+
+
+def import_table(nodes: Iterable[ast.AST], module: str = "",
+                 is_package: bool = False) -> dict[str, str]:
+    """Local name -> absolute dotted target for the imports among ``nodes``.
+
+    Relative imports resolve against the dotted ``module`` name (a package
+    when ``is_package``); a later binding of a name replaces an earlier one.
+    """
+    imports: dict[str, str] = {}
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "numpy":
-                    numpy_aliases.add(alias.asname or "numpy")
-                elif alias.name == "numpy.random":
-                    numpy_random_aliases.add(alias.asname or "numpy.random")
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "numpy":
-                for alias in node.names:
-                    if alias.name == "random":
-                        numpy_random_aliases.add(alias.asname or "random")
-                    else:
-                        from_imports[alias.asname or alias.name] = \
-                            f"numpy.{alias.name}"
-            elif node.module == "numpy.random":
-                for alias in node.names:
-                    from_imports[alias.asname or alias.name] = \
-                        f"numpy.random.{alias.name}"
-    return numpy_aliases, numpy_random_aliases, from_imports
+                if alias.asname:
+                    imports[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    imports[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = _relative_base(module, is_package, node.level)
+                target = f"{base}.{node.module}" if node.module else base
+            else:
+                target = node.module or ""
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                imports[alias.asname or alias.name] = f"{target}.{alias.name}"
+    return imports
+
+
+def absolute_name(imports: dict[str, str], dotted: str) -> str:
+    """``dotted`` with its head replaced by its :func:`import_table` target
+    (unchanged when the head is not imported)."""
+    head, _, rest = dotted.partition(".")
+    if head in imports:
+        return imports[head] + (("." + rest) if rest else "")
+    return dotted
 
 
 @dataclass
@@ -226,28 +241,10 @@ def _unused_suppression_findings(
     return findings
 
 
-def lint_source(source: str, path: str, rules: Sequence[Rule],
-                filename: str | None = None, *,
+def lint_source(source: str, path: str, rules: Sequence[Rule], *,
                 report_unused: bool = False) -> LintResult:
     """Lint one in-memory module (the seam the tests and quickstart use)."""
-    try:
-        tree = ast.parse(source, filename=filename or path)
-    except SyntaxError as exc:
-        return LintResult([], [], [f"{path}: syntax error: {exc}"])
-    module = ModuleContext(path=path, source=source, tree=tree,
-                           suppressions=parse_suppressions(source))
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    used: dict[int, set[str]] = {}
-    for rule in rules:
-        _apply_suppressions(rule.check(module), module.suppressions, used,
-                            findings, suppressed)
-    if report_unused:
-        findings.extend(_unused_suppression_findings(
-            path, module.suppressions, used, {rule.id for rule in rules}))
-    findings.sort()
-    suppressed.sort()
-    return LintResult(findings, suppressed, [])
+    return _lint({path: source}, rules, (), report_unused, None, [])
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -265,52 +262,65 @@ def lint_paths(paths: Iterable[str | Path], rules: Sequence[Rule], *,
                cache_path: str | Path | None = None) -> LintResult:
     """Lint every ``*.py`` under ``paths`` (files or directories).
 
-    Module rules run file-by-file; ``project_rules`` (PL007–PL010) run once
-    over the whole file set through the interprocedural dataflow analysis,
-    with per-module facts cached at ``cache_path`` when given.  With
+    A file reached through several of ``paths`` is linted once.  Module
+    rules run file-by-file; ``project_rules`` (PL007–PL010) run once over the
+    whole file set through the interprocedural dataflow analysis, with
+    per-module facts cached at ``cache_path`` when given.  With
     ``report_unused``, suppression comments that silenced nothing become
     PL100 warnings.
     """
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    errors: list[str] = []
     sources: dict[str, str] = {}
-    suppression_maps: dict[str, dict[int, set[str]]] = {}
-    usage: dict[str, dict[int, set[str]]] = {}
-    for file_path in iter_python_files(paths):
-        posix = file_path.as_posix()
+    errors: list[str] = []
+    for posix in dict.fromkeys(p.as_posix() for p in iter_python_files(paths)):
         try:
-            source = file_path.read_text(encoding="utf-8")
+            sources[posix] = Path(posix).read_text(encoding="utf-8")
         except OSError as exc:
             errors.append(f"{posix}: {exc}")
-            continue
-        sources[posix] = source
-        suppression_maps[posix] = parse_suppressions(source)
-        usage[posix] = {}
+    return _lint(sources, rules, project_rules, report_unused, cache_path,
+                 errors)
+
+
+def _lint(sources: Mapping[str, str], rules: Sequence[Rule],
+          project_rules: Sequence[ProjectRule], report_unused: bool,
+          cache_path: str | Path | None, errors: list[str]) -> LintResult:
+    """Parse each ``{path: source}`` once; that one parse feeds the module
+    rules and the dataflow facts the project rules are checked against."""
+    from . import dataflow
+
+    findings: list[Finding] = []
+    suppressed: list[Finding] = []
+    suppressions: dict[str, dict[int, set[str]]] = {}
+    usage: dict[str, dict[int, set[str]]] = {}
+    facts: dict[str, dataflow.ModuleFacts] = {}
+    cache = dataflow.FactsCache(cache_path) if project_rules else None
+    for path, source in sources.items():
         try:
-            tree = ast.parse(source, filename=posix)
+            module = ModuleContext(path, source)
         except SyntaxError as exc:
-            errors.append(f"{posix}: syntax error: {exc}")
+            errors.append(f"{path}: syntax error: {exc}")
             continue
-        module = ModuleContext(path=posix, source=source, tree=tree,
-                               suppressions=suppression_maps[posix])
+        suppressions[path] = module.suppressions
+        usage[path] = {}
         for rule in rules:
             _apply_suppressions(rule.check(module), module.suppressions,
-                                usage[posix], findings, suppressed)
-    if project_rules and sources:
-        from .dataflow import FactsCache, analyze_sources
-        analysis = analyze_sources(sources, cache=FactsCache(cache_path))
+                                usage[path], findings, suppressed)
+        # Facts are taken now, so only one parsed tree is alive at a time.
+        if project_rules:
+            facts[path] = dataflow.module_facts(path, module, cache)
+    if facts:
+        # Looked up on the module at call time, so a wrapped
+        # ``dataflow.analyze_sources`` (tracing) sees this call.
+        analysis = dataflow.analyze_sources(facts, cache=cache)
         for project_rule in project_rules:
             for finding in project_rule.check_project(analysis):
                 _apply_suppressions(
-                    [finding], suppression_maps.get(finding.path, {}),
-                    usage.setdefault(finding.path, {}), findings, suppressed)
+                    [finding], suppressions[finding.path],
+                    usage[finding.path], findings, suppressed)
     if report_unused:
-        active = {rule.id for rule in rules} \
-            | {rule.id for rule in project_rules}
-        for posix, suppressions in suppression_maps.items():
+        active = {rule.id for rule in (*rules, *project_rules)}
+        for path, declared in suppressions.items():
             findings.extend(_unused_suppression_findings(
-                posix, suppressions, usage.get(posix, {}), active))
+                path, declared, usage[path], active))
     findings.sort()
     suppressed.sort()
     return LintResult(findings, suppressed, errors)

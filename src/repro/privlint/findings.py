@@ -7,7 +7,6 @@ baseline matching and output formatting are plain set/list operations.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
@@ -95,6 +94,3 @@ class ProjectRule(Protocol):
     def check_project(self, analysis) -> Iterable[Finding]:
         ...  # pragma: no cover - protocol
 
-
-def node_line(node: ast.AST) -> int:
-    return getattr(node, "lineno", 1)

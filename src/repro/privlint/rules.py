@@ -33,8 +33,15 @@ from __future__ import annotations
 import ast
 from typing import ClassVar, Iterator
 
-from .engine import ModuleContext
+from .engine import ModuleContext, dotted_name
 from .findings import Finding
+from .policy import (
+    DATA_NAMES,
+    GENERATOR_DRAWS,
+    POST_PROCESSING_STAGES,
+    RNG_ENTRY_POINTS,
+    in_budget_scope,
+)
 
 __all__ = ["DEFAULT_RULES", "RULES_BY_ID",
            "FreshRngRule", "PostProcessingPurityRule", "UnmeteredNoiseRule",
@@ -63,12 +70,9 @@ class FreshRngRule:
         "permutation", "laplace", "normal", "uniform", "exponential",
         "geometric", "multinomial", "dirichlet",
     }
-    #: modules that own the seeding currency: the executor derives per-job
-    #: SeedSequences, the benchmark turns them into the per-job Generators.
-    _ENTRY_POINTS = ("core/executor.py", "core/benchmark.py")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if module.path_is(*self._ENTRY_POINTS):
+        if module.path_is(*RNG_ENTRY_POINTS):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -98,16 +102,11 @@ class PostProcessingPurityRule:
                    "histogram/dataset is a PR-3-class privacy leak.")
     severity = "error"
 
-    _STAGE_NAMES: ClassVar[set[str]] = {"infer", "reconstruct"}
-    #: conventional names of the true data in this codebase
-    _DATA_NAMES: ClassVar[set[str]] = {"x", "data", "counts", "histogram", "true_x", "true_data",
-                   "raw_data", "dataset"}
-
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name not in self._STAGE_NAMES:
+            if node.name not in POST_PROCESSING_STAGES:
                 continue
             yield from self._check_stage(module, node)
 
@@ -118,7 +117,7 @@ class PostProcessingPurityRule:
                                   + args.kwonlyargs)]
         params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
         for name in params:
-            if name in self._DATA_NAMES:
+            if name in DATA_NAMES:
                 yield module.finding(
                     self, func,
                     f"post-processing stage {func.name}() takes the true data "
@@ -127,7 +126,7 @@ class PostProcessingPurityRule:
         bound = set(params) | self._locally_bound(func)
         for inner in ast.walk(func):
             if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load) \
-                    and inner.id in self._DATA_NAMES and inner.id not in bound:
+                    and inner.id in DATA_NAMES and inner.id not in bound:
                 yield module.finding(
                     self, inner,
                     f"post-processing stage {func.name}() reads {inner.id!r} "
@@ -137,7 +136,7 @@ class PostProcessingPurityRule:
                     and isinstance(inner.ctx, ast.Load) \
                     and isinstance(inner.value, ast.Name) \
                     and inner.value.id == "self" \
-                    and inner.attr.lstrip("_") in self._DATA_NAMES:
+                    and inner.attr.lstrip("_") in DATA_NAMES:
                 yield module.finding(
                     self, inner,
                     f"post-processing stage {func.name}() reads "
@@ -175,8 +174,6 @@ class UnmeteredNoiseRule:
                    "core/kernels.py")
     _NOISE_FUNCTIONS: ClassVar[set[str]] = {"laplace_noise", "batched_laplace",
                         "laplace_mechanism", "geometric_mechanism"}
-    _GENERATOR_DRAWS: ClassVar[set[str]] = {"laplace", "geometric", "normal", "exponential",
-                        "gumbel"}
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if module.path_is(*self._SANCTIONED):
@@ -200,7 +197,7 @@ class UnmeteredNoiseRule:
         func = call.func
         if isinstance(func, ast.Name) and func.id in self._NOISE_FUNCTIONS:
             return f"{func.id}()"
-        if isinstance(func, ast.Attribute) and func.attr in self._GENERATOR_DRAWS:
+        if isinstance(func, ast.Attribute) and func.attr in GENERATOR_DRAWS:
             return f".{func.attr}()"
         return None
 
@@ -227,16 +224,11 @@ class RawEpsilonArithmeticRule:
     #: exactly the raw total; derived ``eps_*`` names are PrivacyBudget.spend
     #: results (already metered) and bare ``eps`` is machine epsilon here.
     _EPSILON_NAMES: ClassVar[set[str]] = {"epsilon"}
-    #: the release path this rule polices; analysis/tuning modules use epsilon
-    #: as a signal-strength coordinate, not as a budget.
-    _SCOPE = ("core/plan.py", "core/repair.py", "workload/selection.py")
     _ALLOWED_FUNCTION_TOKENS = ("budget", "allocation", "share", "epsilons",
                                 "split")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        in_scope = module.path_is(*self._SCOPE) \
-            or "/algorithms/" in module.path
-        if not in_scope or module.path_is("algorithms/mechanisms.py"):
+        if not in_budget_scope(module.path):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.BinOp) \
@@ -358,7 +350,7 @@ class UnlockedLazyCacheRule:
         for ancestor in module.ancestors(node):
             if isinstance(ancestor, (ast.With, ast.AsyncWith)):
                 for item in ancestor.items:
-                    name = module.dotted_name(item.context_expr) or ""
+                    name = dotted_name(item.context_expr) or ""
                     if "lock" in name.lower():
                         return True
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -431,14 +423,14 @@ class KernelSourceDisciplineRule:
                 for decorator in node.decorator_list:
                     target = decorator.func if isinstance(decorator, ast.Call) \
                         else decorator
-                    name = module.dotted_name(target) or ""
+                    name = dotted_name(target) or ""
                     if name.split(".")[-1].lstrip("_") == "njit":
                         sources.add(node.name)
             elif isinstance(node, ast.Call):
                 # the rebinding form: _njit(cache=True, ...)(source_fn)
                 inner = node.func
                 target = inner.func if isinstance(inner, ast.Call) else inner
-                name = module.dotted_name(target) or ""
+                name = dotted_name(target) or ""
                 if name.split(".")[-1].lstrip("_") == "njit" \
                         and isinstance(inner, ast.Call):
                     for arg in node.args:
@@ -468,7 +460,7 @@ class KernelSourceDisciplineRule:
                     and isinstance(node.value, ast.Call):
                 inner = node.value.func
                 target = inner.func if isinstance(inner, ast.Call) else inner
-                name = module.dotted_name(target) or ""
+                name = dotted_name(target) or ""
                 if name.split(".")[-1].lstrip("_") == "njit":
                     names.update(t.id for t in node.targets
                                  if isinstance(t, ast.Name))
@@ -516,7 +508,7 @@ class KernelSourceDisciplineRule:
                     f"a Python-object operation outside the compilable "
                     f"subset")
                 return
-            name = module.dotted_name(call.func) or ""
+            name = dotted_name(call.func) or ""
             parts = name.split(".")
             if len(parts) == 2 and parts[0] in (module.numpy_aliases
                                                 | {"numpy"}) \

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ..algorithms.base import Algorithm, PlanAlgorithm
+from ..algorithms.mechanisms import check_epsilon
 from ..core.plan import ReleaseMetadata
 from ..core.registry import make_algorithm
 from ..workload.rangequery import Workload
@@ -72,7 +73,8 @@ class ReleaseService:
         :func:`repro.core.registry.make_algorithm`) or an
         :class:`~repro.algorithms.base.Algorithm` instance.
     epsilon:
-        Privacy budget spent per release (re-releases spend it again).
+        Privacy budget spent per release (re-releases spend it again);
+        finite and positive.
     workload:
         Optional target workload handed to workload-aware algorithms at
         release time.
@@ -95,10 +97,8 @@ class ReleaseService:
     ):
         if isinstance(algorithm, str):
             algorithm = make_algorithm(algorithm)
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
         self._algorithm = algorithm
-        self._epsilon = float(epsilon)
+        self._epsilon = check_epsilon(epsilon)
         self._workload = workload
         self._cache = QueryCache(maxsize=cache_size, ttl=ttl, clock=clock)
         self._stats = ServiceStats(clock=clock)

@@ -54,6 +54,46 @@ class TestValidateInput:
         assert x[0] == 1
 
 
+BAD_EPSILONS = [np.nan, np.inf, -np.inf, 0.0, -0.0, -1]
+CASES = [(name, 1) for name in NAMES_1D] + [(name, 2) for name in NAMES_2D]
+
+
+class TestEpsilonBoundary:
+    """A budget that is not finite and positive is rejected at every public
+    boundary with a ``ValueError``, before any noise is drawn.  NaN used to
+    pass ``epsilon <= 0`` and release garbage; infinity releases the exact
+    data (the mechanism primitives keep that documented limit)."""
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=repr)
+    @pytest.mark.parametrize("name,ndim", CASES)
+    def test_algorithm_rejects_before_drawing(self, name, ndim, epsilon,
+                                              data_1d, data_2d):
+        x, workload = data_1d if ndim == 1 else data_2d
+        algorithm = make_algorithm(name)
+        # An rng that cannot draw: as_rng rejects it with a TypeError, so a
+        # ValueError proves the check ran before any generator existed.
+        no_rng = object()
+        with pytest.raises(ValueError, match="finite and positive"):
+            algorithm.run(x, epsilon, workload, no_rng)
+        if hasattr(algorithm, "plan_and_measure"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                algorithm.plan_and_measure(x, epsilon, no_rng, workload)
+
+    @pytest.mark.parametrize("epsilon", BAD_EPSILONS, ids=repr)
+    def test_budget_and_service_reject(self, epsilon):
+        from repro.algorithms.mechanisms import PrivacyBudget
+        from repro.serve import ReleaseService
+
+        with pytest.raises(ValueError, match="finite and positive"):
+            PrivacyBudget(epsilon)
+        budget = PrivacyBudget(1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            budget.spend(epsilon)
+        assert budget.spent == 0.0 and budget.log == []
+        with pytest.raises(ValueError, match="finite and positive"):
+            ReleaseService("Identity", epsilon)
+
+
 class TestRegistryMetadata:
     def test_every_algorithm_has_properties(self):
         for name, cls in ALGORITHM_REGISTRY.items():

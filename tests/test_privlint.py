@@ -735,16 +735,23 @@ class TestSelfCheck:
         """Interprocedural analysis of the whole tree: <10s cold, <2s warm."""
         import time
 
-        from repro.privlint.dataflow import FactsCache, analyze_paths
+        from repro.privlint.dataflow import FactsCache, analyze_sources
+        from repro.privlint.engine import iter_python_files
 
         cache = tmp_path / "facts-cache.json"
+
+        def analyze():
+            analyze_sources({path.as_posix(): path.read_text(encoding="utf-8")
+                             for path in iter_python_files(["src"])},
+                            cache=FactsCache(cache))
+
         start = time.perf_counter()
-        analyze_paths(["src"], cache_path=cache)
+        analyze()
         cold = time.perf_counter() - start
         assert cold < 10.0, f"cold dataflow run took {cold:.2f}s"
 
         start = time.perf_counter()
-        analyze_paths(["src"], cache_path=cache)
+        analyze()
         warm = time.perf_counter() - start
         assert warm < 2.0, f"warm dataflow run took {warm:.2f}s"
         # The warm run really did come from the cache, not a silent re-parse.
@@ -753,3 +760,73 @@ class TestSelfCheck:
         from pathlib import Path
         assert store.get(probe, Path(probe).read_text(encoding="utf-8")) \
             is not None
+
+
+# -- one front-end -------------------------------------------------------------------
+
+
+class TestOneFrontEnd:
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path):
+        """A file reached through several path arguments is linted once, so a
+        baseline written for the directory still holds."""
+        leaky = tmp_path / "leaky.py"
+        leaky.write_text(LEAKY_MODULE)
+        baseline = tmp_path / "baseline.json"
+        assert privlint_main(
+            [str(tmp_path), "--write-baseline", str(baseline)],
+            out=io.StringIO()) == 0
+        out = io.StringIO()
+        assert privlint_main(
+            [str(tmp_path), str(leaky), f"{tmp_path}/./leaky.py",
+             "--baseline", str(baseline), "--format=json"], out=out) == 0
+        counts = json.loads(out.getvalue())["counts"]
+        assert counts == {"findings": 0, "baselined": 1, "suppressed": 0}
+
+    def test_each_file_parsed_once_cold_and_warm(self, tmp_path, monkeypatch):
+        """One front-end: all ten rules share a single ``ast.parse`` per file,
+        with or without a warm summary cache (a warm cache also skips fact
+        extraction)."""
+        import ast
+        from collections import Counter
+        from pathlib import Path
+
+        from repro.privlint import DATAFLOW_RULES, dataflow, lint_paths
+
+        package = tmp_path / "src" / "repro" / "algorithms"
+        package.mkdir(parents=True)
+        (package / "leaky.py").write_text(
+            Path("tests/fixtures/privlint/leaky_helper.py").read_text())
+        (package / "clean.py").write_text(
+            "from .leaky import laplace_noise\n" + CLEAN_MODULE)
+        (package / "__init__.py").write_text(
+            "from .leaky import StashingAlgorithm\n")
+        files = sorted(p.as_posix() for p in package.glob("*.py"))
+
+        parses: Counter = Counter()
+        extractions: Counter = Counter()
+        real_parse = ast.parse
+        real_extract = dataflow.extract_module_facts
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        def counting_extract(module):
+            extractions[module.path] += 1
+            return real_extract(module)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.setattr(dataflow, "extract_module_facts", counting_extract)
+        cache = tmp_path / "facts-cache.json"
+        results = []
+        # no summary cache, a cold one, then a warm one
+        for cache_path, extracted in ((None, 1), (cache, 1), (cache, 0)):
+            parses.clear()
+            extractions.clear()
+            results.append(lint_paths(
+                [package], DEFAULT_RULES, project_rules=DATAFLOW_RULES,
+                report_unused=True, cache_path=cache_path))
+            assert parses == Counter(dict.fromkeys(files, 1))
+            assert +extractions == +Counter(dict.fromkeys(files, extracted))
+        assert {f.rule for f in results[0].findings} >= {"PL007"}
+        assert results[0] == results[1] == results[2]

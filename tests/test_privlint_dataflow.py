@@ -27,9 +27,9 @@ from repro.privlint.dataflow import (
     DATAFLOW_RULES,
     PROJECT_RULES_BY_ID,
     FactsCache,
-    analyze_paths,
     analyze_sources,
 )
+from repro.privlint.engine import iter_python_files
 from repro.privlint.taint import is_tainted, sanitized_noise_stage, taint
 from repro.workload.builders import prefix_workload, random_range_workload
 
@@ -371,12 +371,12 @@ RUNTIME_CASES = _runtime_cases()
 @pytest.fixture(scope="module")
 def pl007_flagged_paths():
     """Module paths under src/ where the static PL007 analysis fires."""
-    analysis = analyze_paths(["src"])
+    analysis = analyze_sources({path.as_posix(): path.read_text(encoding="utf-8")
+                                for path in iter_python_files(["src"])})
     rule = PROJECT_RULES_BY_ID["PL007"]
     flagged = set()
     for finding in rule.check_project(analysis):
-        ids = analysis.project.modules[finding.path].suppressions.get(
-            finding.line, ())
+        ids = analysis.project.modules[finding.path].suppressions.get(finding.line, ())
         if "all" not in ids and finding.rule not in ids:
             flagged.add(finding.path)
     return flagged
@@ -410,3 +410,21 @@ class TestStaticRuntimeAgreement:
     def test_dataflow_rules_registered(self):
         assert {rule.id for rule in DATAFLOW_RULES} == \
             {"PL007", "PL008", "PL009", "PL010"}
+
+
+# -- the shared front-end ------------------------------------------------------------
+
+
+def test_parsed_module_and_its_facts_analyse_like_the_source():
+    """lint_paths hands analyze_sources the module it already parsed (or the
+    facts taken from it); the analysis must not depend on which form."""
+    from repro.privlint import ModuleContext
+    from repro.privlint.dataflow import module_facts
+
+    path, source = FIXTURE.as_posix(), FIXTURE.read_text(encoding="utf-8")
+    rule = PROJECT_RULES_BY_ID["PL007"]
+    expected = sorted(rule.check_project(analyze_sources({path: source})))
+    assert expected
+    for value in (ModuleContext(path, source), module_facts(path, source)):
+        assert sorted(rule.check_project(analyze_sources({path: value}))) \
+            == expected
