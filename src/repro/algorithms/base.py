@@ -12,6 +12,7 @@ drives both the registry and the Table 1 reproduction bench.
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -22,7 +23,8 @@ from ..core.plan import MeasurementPlan, measure_plan, reconstruct
 from ..workload.rangequery import Workload
 from .mechanisms import PrivacyBudget, as_rng, check_epsilon
 
-__all__ = ["Algorithm", "AlgorithmProperties", "PlanAlgorithm", "validate_input"]
+__all__ = ["Algorithm", "AlgorithmProperties", "PlanAlgorithm", "check_real_param",
+           "validate_input"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,18 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
     return x
 
 
+def check_real_param(params: dict, name: str, low: float = 0.0,
+                     high: float = np.inf) -> None:
+    """Raise ``ValueError`` unless ``params[name]`` is a real number (not a
+    bool) strictly between ``low`` and ``high``; NaN and, with the default
+    ``high``, infinity fail."""
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not low < value < high:
+        raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), "
+                         f"got {value!r}")
+
+
 class Algorithm(ABC):
     """Abstract base class for all private release algorithms.
 
@@ -145,6 +159,7 @@ class Algorithm(ABC):
             Random generator or seed; ``None`` draws a fresh seed.
         """
         x = validate_input(x, epsilon, self.properties.supported_dims)
+        self.check_params()
         rng = as_rng(rng)
         x_hat = self._run(x, float(epsilon), workload, rng)
         # asanyarray: a subclass-carrying result (e.g. a still-tainted
@@ -155,6 +170,11 @@ class Algorithm(ABC):
                 f"{self.name} returned shape {x_hat.shape}, expected {x.shape}"
             )
         return x_hat
+
+    def check_params(self) -> None:
+        """Raise ``ValueError`` for free-parameter values the algorithm cannot
+        use.  :meth:`run` (and :meth:`PlanAlgorithm.plan_and_measure`) call it
+        before any generator exists, so a bad value never costs a draw."""
 
     @abstractmethod
     def _run(
@@ -228,6 +248,7 @@ class PlanAlgorithm(Algorithm):
         test asserts.  ``measurements.epsilon_spent`` covers both stages.
         """
         x = validate_input(x, epsilon, self.properties.supported_dims)
+        self.check_params()
         rng = as_rng(rng)
         budget = PrivacyBudget(float(epsilon))
         plan = self.select(x, workload, budget, rng)

@@ -18,29 +18,33 @@ information, exactly as flagged in Table 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import Algorithm, AlgorithmProperties, PlanAlgorithm
+from .base import Algorithm, AlgorithmProperties, PlanAlgorithm, check_real_param
 from .inference import inverse_variance_combine
 from .mechanisms import PrivacyBudget, laplace_noise
 
 __all__ = ["UGrid", "AGrid"]
 
 
-def _grid_edges(length: int, pieces: int) -> np.ndarray:
+def _grid_edges(length: int, pieces: int) -> list[int]:
     """Boundaries of an equi-width partition of ``range(length)`` into ``pieces``.
 
     Computed in exact integer arithmetic (``floor(i * length / pieces)``), so
     consecutive widths differ by at most one.  The historical
     ``np.linspace(...).astype(int)`` truncated float intermediates, drifting
     off the balanced grid (and at the mercy of float rounding) whenever
-    ``i * length / pieces`` landed just below an integer.
+    ``i * length / pieces`` landed just below an integer.  ``pieces`` is
+    clipped to ``1..length``, so every piece is non-empty.
     """
-    pieces = int(np.clip(pieces, 1, length))
-    return np.arange(pieces + 1, dtype=np.intp) * int(length) // pieces
+    length = int(length)
+    pieces = min(max(int(pieces), 1), length)
+    return [i * length // pieces for i in range(pieces + 1)]
 
 
 class UGrid(PlanAlgorithm):
@@ -61,6 +65,9 @@ class UGrid(PlanAlgorithm):
         side_information=("scale",),
         reference="Qardaji, Yang, Li. ICDE 2013",
     )
+
+    def check_params(self) -> None:
+        check_real_param(self.params, "c")
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
@@ -97,6 +104,10 @@ class AGrid(Algorithm):
     measurement interleave block by block (coarse draw, then that block's
     fine draws) — a faithful staging would have to pre-draw all the noise
     during selection, which is the pipeline in name only.
+
+    Each coarse block costs one scalar coarse draw, one size-k draw for its
+    k fine cells, k true fine-cell sums and a constant number of small array
+    operations; the grid sizing is Python-int / ``math`` scalar arithmetic.
     """
 
     properties = AlgorithmProperties(
@@ -109,6 +120,11 @@ class AGrid(Algorithm):
         side_information=("scale",),
         reference="Qardaji, Yang, Li. ICDE 2013",
     )
+
+    def check_params(self) -> None:
+        check_real_param(self.params, "c")
+        check_real_param(self.params, "c2")
+        check_real_param(self.params, "rho", high=1.0)
 
     def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
              rng: np.random.Generator) -> np.ndarray:
@@ -131,34 +147,35 @@ class AGrid(Algorithm):
         estimate = np.zeros(x.shape)
         coarse_variance = 2.0 / eps_coarse ** 2
         fine_variance = 2.0 / eps_fine ** 2
+        # Python-int / math scalars are exact here (integer edges, correctly
+        # rounded sqrt and ceil), and one size-k draw consumes the generator
+        # exactly like k scalar draws.  _grid_edges never yields an empty
+        # block or fine cell.
         for r0, r1 in zip(row_edges[:-1], row_edges[1:]):
             for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
                 block = x[r0:r1, c0:c1]
-                if block.size == 0:
-                    continue
+                block_sum = float(block.sum())
                 # Bespoke per-block interleaved noise (documented plan-pipeline
                 # exemption); eps_coarse was charged by spend() above.  The
                 # float() around the true block total is the taint sanitizer's
                 # declassification point: the very next operation noised it.
-                coarse_count = float(block.sum()) + float(laplace_noise(1.0 / eps_coarse, (), rng))  # privlint: disable=PL003
-                fine_size = int(np.ceil(np.sqrt(max(coarse_count, 0.0) * eps_fine / c2)))
-                fine_size = int(np.clip(fine_size, 1, max(block.shape)))
-                sub_row_edges = _grid_edges(block.shape[0], fine_size)
-                sub_col_edges = _grid_edges(block.shape[1], fine_size)
-
-                fine_values = []
-                fine_slices = []
-                for fr0, fr1 in zip(sub_row_edges[:-1], sub_row_edges[1:]):
-                    for fc0, fc1 in zip(sub_col_edges[:-1], sub_col_edges[1:]):
-                        fine_block = block[fr0:fr1, fc0:fc1]
-                        if fine_block.size == 0:
-                            continue
-                        # Same exemption as the coarse pass; eps_fine was
-                        # charged by spend_all() above.
-                        noisy = float(fine_block.sum()) + float(laplace_noise(1.0 / eps_fine, (), rng))  # privlint: disable=PL003
-                        fine_values.append(noisy)
-                        fine_slices.append((slice(r0 + fr0, r0 + fr1), slice(c0 + fc0, c0 + fc1)))
-                fine_values = np.array(fine_values)
+                coarse_count = block_sum + float(laplace_noise(1.0 / eps_coarse, (), rng))  # privlint: disable=PL003
+                block_rows, block_cols = r1 - r0, c1 - c0
+                # _grid_edges clips the fine size to each side of the block.
+                fine_size = math.ceil(math.sqrt(max(coarse_count, 0.0) * eps_fine / c2))
+                sub_rows = _grid_edges(block_rows, fine_size)
+                sub_cols = _grid_edges(block_cols, fine_size)
+                single_cell = len(sub_rows) == len(sub_cols) == 2
+                if single_cell:
+                    true_sums = [block_sum]     # the fine cell is the block
+                else:
+                    true_sums = [float(block[fr0:fr1, fc0:fc1].sum())
+                                 for fr0, fr1 in zip(sub_rows[:-1], sub_rows[1:])
+                                 for fc0, fc1 in zip(sub_cols[:-1], sub_cols[1:])]
+                # Same exemption as the coarse pass; eps_fine was charged by
+                # spend_all() above.
+                noise = laplace_noise(1.0 / eps_fine, len(true_sums), rng)  # privlint: disable=PL003
+                fine_values = np.array(true_sums) + noise
 
                 # Reconcile the coarse measurement with the fine measurements.
                 fine_total = float(fine_values.sum())
@@ -166,9 +183,14 @@ class AGrid(Algorithm):
                     np.array([coarse_count, fine_total]),
                     np.array([coarse_variance, fine_variance * len(fine_values)]),
                 )
-                if len(fine_values):
-                    fine_values = fine_values + (combined - fine_total) / len(fine_values)
-                for value, slices in zip(fine_values, fine_slices):
-                    size = (slices[0].stop - slices[0].start) * (slices[1].stop - slices[1].start)
-                    estimate[slices] = value / size
+                fine_values = fine_values + (combined - fine_total) / len(fine_values)
+                if single_cell:
+                    estimate[r0:r1, c0:c1] = fine_values[0] / (block_rows * block_cols)
+                    continue
+                row_widths = np.diff(sub_rows)
+                col_widths = np.diff(sub_cols)
+                cells = fine_values.reshape(row_widths.size, col_widths.size) \
+                    / np.outer(row_widths, col_widths)
+                estimate[r0:r1, c0:c1] = np.repeat(np.repeat(cells, row_widths, axis=0),
+                                                   col_widths, axis=1)
         return estimate

@@ -19,13 +19,16 @@ uniformity, which makes the algorithm consistent.
 
 from __future__ import annotations
 
+import bisect
+import numbers
+
 import numpy as np
 
 from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_real_param
 from .inference import inverse_variance_combine
 from .mechanisms import BudgetExceededError, PrivacyBudget, exponential_mechanism
 
@@ -40,7 +43,11 @@ class StructureFirst(PlanAlgorithm):
     count budget plus every cell at the other half (single-cell buckets get
     one full-budget query), and inference is the per-bucket two-level
     inverse-variance closed form — the exact GLS solution of that
-    two-measurement system."""
+    two-measurement system.
+
+    Selection runs ``k - 1`` exponential-mechanism rounds of O(n) array work
+    each: the cut scores are kept across rounds and a chosen cut rescores
+    only the two intervals it splits."""
 
     properties = AlgorithmProperties(
         name="SF",
@@ -55,12 +62,21 @@ class StructureFirst(PlanAlgorithm):
         reference="Xu, Zhang, Xiao, Yang, Yu, Winslett. VLDBJ 2013",
     )
 
+    def check_params(self) -> None:
+        check_real_param(self.params, "rho", high=1.0)
+        buckets = self.params["buckets"]
+        if buckets is not None and (isinstance(buckets, bool)
+                                    or not isinstance(buckets, numbers.Integral)
+                                    or buckets < 1):
+            raise ValueError(f"buckets must be None or a positive int, got {buckets!r}")
+
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
         n = x.size
         rho = float(self.params["rho"])
-        n_buckets = self.params["buckets"] or max(1, int(np.ceil(n / 10)))
-        n_buckets = int(min(n_buckets, n))
+        buckets = self.params["buckets"]
+        n_buckets = max(1, int(np.ceil(n / 10))) if buckets is None else int(buckets)
+        n_buckets = min(n_buckets, n)
         count_bound = self.params["count_bound"]
         if count_bound is None:
             # Side information: an upper bound on any bucket total.  The true
@@ -147,8 +163,11 @@ class StructureFirst(PlanAlgorithm):
 
         Boundaries are cut points in ``1..n-1``; the score of a candidate cut
         is the reduction in total SSE it achieves given the cuts chosen so far.
-        All candidate scores for one round are computed in a single vectorised
-        pass using prefix sums.
+        A cut's score depends only on the interval that contains it, so the
+        scores live in one ``gains`` array over the cut positions: a chosen
+        cut rescores just the two sub-intervals it splits (one vectorised
+        prefix-sum pass each), and every round is O(n) array work rather
+        than a Python loop over all live intervals.
         """
         n = x.size
         if n_buckets <= 1 or eps_structure <= 0:
@@ -164,28 +183,32 @@ class StructureFirst(PlanAlgorithm):
             total_sq = prefix_sq[hi] - prefix_sq[lo]
             return np.maximum(total_sq - total * total / width, 0.0)
 
+        positions = np.arange(1, n)
+        gains = np.empty(n - 1)
+        alive = np.ones(n - 1, dtype=bool)
+
+        def score(lo: int, hi: int) -> None:
+            cuts = positions[lo:hi - 1]     # the cut points lo + 1 .. hi - 1
+            if cuts.size:
+                base = float(sse(lo, hi))
+                gains[lo:hi - 1] = base - sse(np.full(cuts.size, lo), cuts) \
+                    - sse(cuts, np.full(cuts.size, hi))
+
         boundaries = [0, n]
+        score(0, n)
         eps_per_cut = eps_structure / (n_buckets - 1)
         # Sensitivity of an SSE-based score: adding a record changes a squared
         # count by at most 2 * F + 1 where F bounds any count.
         sensitivity = 2.0 * count_bound + 1.0
-        for _ in range(n_buckets - 1):
-            sorted_boundaries = np.array(sorted(boundaries))
-            candidate_list: list[np.ndarray] = []
-            score_list: list[np.ndarray] = []
-            for lo, hi in zip(sorted_boundaries[:-1], sorted_boundaries[1:]):
-                cuts = np.arange(lo + 1, hi)
-                if cuts.size == 0:
-                    continue
-                base = float(sse(lo, hi))
-                gains = base - sse(np.full(cuts.size, lo), cuts) - sse(cuts, np.full(cuts.size, hi))
-                candidate_list.append(cuts)
-                score_list.append(gains)
-            if not candidate_list:
-                break
-            candidates = np.concatenate(candidate_list)
-            scores = np.concatenate(score_list)
-            chosen = exponential_mechanism(scores, eps_per_cut, sensitivity=sensitivity, rng=rng)
-            boundaries.append(int(candidates[chosen]))
-        return sorted(boundaries)
-
+        for _ in range(n_buckets - 1):   # n_buckets <= n: a live cut always remains
+            candidates = positions[alive]
+            chosen = exponential_mechanism(gains[alive], eps_per_cut,
+                                           sensitivity=sensitivity, rng=rng)
+            cut = int(candidates[chosen])
+            alive[cut - 1] = False
+            index = bisect.bisect(boundaries, cut)
+            lo, hi = boundaries[index - 1], boundaries[index]
+            boundaries.insert(index, cut)
+            score(lo, cut)
+            score(cut, hi)
+        return boundaries

@@ -18,7 +18,6 @@ regret analyses of Section 7.2.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .results import ResultSet
 
@@ -53,6 +52,10 @@ def competitive_algorithms(
     95th-percentile measure (the risk-averse analyst) the best algorithm and
     any algorithm within the best's sampling spread are competitive.
     """
+    # Local import: scipy.stats costs about half of ``import repro``, and
+    # only this analysis uses it.
+    from scipy import stats
+
     valid = {name: np.asarray(err, dtype=float) for name, err in error_samples.items()
              if np.asarray(err).size > 0}
     if not valid:

@@ -56,6 +56,9 @@ class SideInformationRepair(Algorithm):
         )
         self.params = dict(inner.params)
 
+    def check_params(self) -> None:
+        self._inner.check_params()
+
     def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
              rng: np.random.Generator) -> np.ndarray:
         budget = PrivacyBudget(epsilon)

@@ -94,6 +94,56 @@ class TestEpsilonBoundary:
             ReleaseService("Identity", epsilon)
 
 
+BAD_PARAMS = [
+    ("AGrid", "c", 0), ("AGrid", "c", -1.0), ("AGrid", "c", np.nan), ("AGrid", "c", np.inf),
+    ("AGrid", "c2", 0), ("AGrid", "c2", -5.0), ("AGrid", "c2", np.inf),
+    ("AGrid", "rho", 0.0), ("AGrid", "rho", 1.0), ("AGrid", "rho", np.nan),
+    ("UGrid", "c", 0), ("UGrid", "c", -3.0), ("UGrid", "c", np.nan), ("UGrid", "c", -np.inf),
+    ("SF", "rho", 0.0), ("SF", "rho", 1.0), ("SF", "rho", 1.5), ("SF", "rho", None),
+    ("SF", "buckets", 0), ("SF", "buckets", -3), ("SF", "buckets", True),
+    ("SF", "buckets", 2.5), ("SF", "buckets", "4"),
+]
+
+
+class TestFreeParameterBoundary:
+    """SF, UGrid and AGrid reject unusable free parameters with a
+    ``ValueError`` before any noise is drawn.  Zero ``c``/``c2`` used to raise
+    ``ZeroDivisionError`` mid-release, a negative ``c`` silently collapsed
+    UGrid to one block, and SF replaced a falsy ``buckets`` by its default
+    and truncated a fractional one."""
+
+    @pytest.mark.parametrize("name,param,value", BAD_PARAMS, ids=repr)
+    def test_rejects_before_drawing(self, name, param, value, data_1d, data_2d):
+        algorithm = make_algorithm(name, **{param: value})
+        x, workload = data_1d if 1 in algorithm.properties.supported_dims else data_2d
+        # An rng that cannot draw: as_rng would reject it with a TypeError.
+        no_rng = object()
+        with pytest.raises(ValueError, match=param):
+            algorithm.run(x, 1.0, workload, no_rng)
+        if hasattr(algorithm, "plan_and_measure"):
+            with pytest.raises(ValueError, match=param):
+                algorithm.plan_and_measure(x, 1.0, no_rng, workload)
+
+    def test_side_information_repair_checks_inner_first(self, data_2d):
+        from repro import SideInformationRepair
+
+        x, workload = data_2d
+        with pytest.raises(ValueError, match="c2"):
+            SideInformationRepair(make_algorithm("AGrid", c2=0)).run(x, 1.0, workload, object())
+
+    @pytest.mark.parametrize("name,params", [
+        ("AGrid", {"c": 1e-3, "c2": 1e3, "rho": 0.999}),
+        ("UGrid", {"c": np.float64(1e6)}),
+        ("SF", {"buckets": np.int64(5), "rho": 1e-3}),
+        ("SF", {"buckets": 10_000}),
+    ], ids=repr)
+    def test_accepts_boundary_values(self, name, params, data_1d, data_2d, rng):
+        algorithm = make_algorithm(name, **params)
+        x, workload = data_1d if 1 in algorithm.properties.supported_dims else data_2d
+        estimate = algorithm.run(x, 1.0, workload, rng)
+        assert estimate.shape == x.shape and np.isfinite(estimate).all()
+
+
 class TestRegistryMetadata:
     def test_every_algorithm_has_properties(self):
         for name, cls in ALGORITHM_REGISTRY.items():

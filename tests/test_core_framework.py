@@ -1,9 +1,15 @@
 """Unit tests for the DPBench core framework: generator, error, results,
 analysis, registry, repair and tuning."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     DataGenerator,
     Dataset,
@@ -199,6 +205,32 @@ class TestCompetitiveAnalysis:
 
     def test_empty_input(self):
         assert competitive_algorithms({}) == []
+
+    def test_scipy_stats_imported_lazily(self):
+        """``import repro`` leaves ``scipy.stats`` unloaded (it is about half
+        the package's import time); ``competitive_algorithms`` imports it on
+        first use and answers exactly as in a process that loaded it early."""
+        script = """
+import json, sys
+import numpy as np
+import repro
+assert "scipy.stats" not in sys.modules, "import repro loaded scipy.stats"
+from repro import competitive_algorithms
+t = np.arange(30)
+samples = {"a": 1.0 + 0.5 * np.sin(t), "b": 1.05 + 0.5 * np.cos(t),
+           "c": 5.0 + 0.01 * np.sin(t), "d": np.where(t == 29, 12.0, 0.5)}
+print(json.dumps([competitive_algorithms(samples, measure=m) for m in ("mean", "p95")]))
+assert "scipy.stats" in sys.modules
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        t = np.arange(30)
+        samples = {"a": 1.0 + 0.5 * np.sin(t), "b": 1.05 + 0.5 * np.cos(t),
+                   "c": 5.0 + 0.01 * np.sin(t), "d": np.where(t == 29, 12.0, 0.5)}
+        expected = [competitive_algorithms(samples, measure=m) for m in ("mean", "p95")]
+        assert json.loads(out) == expected == [["a", "b", "d"], ["a", "b", "c", "d"]]
 
     def test_competitive_counts_table(self):
         records = []
