@@ -26,9 +26,9 @@ Quick start::
 """
 
 # `.core` must be imported before `.algorithms`: the algorithm modules import
-# `repro.core.measurement`/`repro.core.gls` (the shared measurement/inference
-# currency), which is only cycle-free because `.core`'s own initialisation
-# forces the algorithms package to complete first (see repro/core/__init__.py).
+# the inference layer under `repro.core`, which is only cycle-free because
+# `.core`'s own initialisation forces the algorithms package to complete first
+# (repro/core/__init__.py names the edges that remain).
 from .core import (
     ALGORITHM_REGISTRY,
     BenchmarkGrid,

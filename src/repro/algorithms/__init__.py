@@ -1,7 +1,7 @@
 """Differentially private release algorithms evaluated by DPBench.
 
 The module exposes the DP primitives, the shared substrates (hierarchies,
-wavelets, Hilbert curves, inference) and all algorithms from Table 1 of the
+wavelets, Hilbert curves) and all algorithms from Table 1 of the
 paper plus the HybridTree extra.
 """
 

@@ -101,6 +101,17 @@ def check_real_param(params: dict, name: str, low: float = 0.0,
                          f"got {value!r}")
 
 
+def check_int_param(params: dict, name: str, low: int, optional: bool = False) -> None:
+    """Raise ``ValueError`` unless ``params[name]`` is an integer (not a bool)
+    of at least ``low``, or ``None`` when ``optional``."""
+    value = params[name]
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        allowed = "None or an integer" if optional else "an integer"
+        raise ValueError(f"{name} must be {allowed} >= {low}, got {value!r}")
+
+
 class Algorithm(ABC):
     """Abstract base class for all private release algorithms.
 

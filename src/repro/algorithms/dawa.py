@@ -42,7 +42,7 @@ from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan, measure_plan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param
 from .greedy_h import greedy_budget_allocation
 from .hier import tree_plan
 from .hilbert import plan_flattening
@@ -233,6 +233,9 @@ class DAWA(PlanAlgorithm):
         parameters={"rho": 0.25, "branching": 2},
         reference="Li, Hay, Miklau. PVLDB 2014",
     )
+
+    def check_params(self) -> None:
+        check_int_param(self.params, "branching", 2)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

@@ -24,13 +24,13 @@ import heapq
 
 import numpy as np
 
+from ..core.gls import inverse_variance_combine
 from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan, measure_plan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
 from .identity import identity_queries
-from .inference import inverse_variance_combine
 from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 
 __all__ = ["DPCube"]

@@ -23,7 +23,7 @@ import numpy as np
 from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param
 from .hier import tree_plan
 from .hilbert import plan_flattening
 from .mechanisms import PrivacyBudget
@@ -60,6 +60,9 @@ class GreedyH(PlanAlgorithm):
         parameters={"branching": 2},
         reference="Li, Hay, Miklau. PVLDB 2014",
     )
+
+    def check_params(self) -> None:
+        check_int_param(self.params, "branching", 2)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 
+from ..core.gls import inverse_variance_combine
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import Algorithm, AlgorithmProperties, PlanAlgorithm, check_real_param
-from .inference import inverse_variance_combine
 from .mechanisms import PrivacyBudget, laplace_noise
 
 __all__ = ["UGrid", "AGrid"]

@@ -20,7 +20,7 @@ from ..core.gls import solve_gls
 from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan, measure_plan
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param
 from .mechanisms import PrivacyBudget
 from .tree import HierarchicalTree, optimal_branching
 
@@ -108,6 +108,9 @@ class HierarchicalH(PlanAlgorithm):
         parameters={"branching": 2},
         reference="Hay, Rastogi, Miklau, Suciu. PVLDB 2010",
     )
+
+    def check_params(self) -> None:
+        check_int_param(self.params, "branching", 2)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core.plan import MeasurementPlan
 from ..workload.rangequery import Workload
-from .base import Algorithm, AlgorithmProperties, PlanAlgorithm
+from .base import Algorithm, AlgorithmProperties, PlanAlgorithm, check_int_param, check_real_param
 from .hier import run_hierarchical, tree_plan
 from .mechanisms import PrivacyBudget, laplace_noise
 from .tree import HierarchicalTree
@@ -39,6 +39,9 @@ class QuadTree(PlanAlgorithm):
         consistent=False,
         reference="Cormode, Procopiuc, Shen, Srivastava, Yu. ICDE 2012",
     )
+
+    def check_params(self) -> None:
+        check_int_param(self.params, "max_height", 1)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
@@ -68,6 +71,11 @@ class HybridTree(Algorithm):
         consistent=False,
         reference="Cormode, Procopiuc, Shen, Srivastava, Yu. ICDE 2012",
     )
+
+    def check_params(self) -> None:
+        check_int_param(self.params, "kd_levels", 0)
+        check_int_param(self.params, "max_height", 1)
+        check_real_param(self.params, "rho", high=1.0)
 
     def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
              rng: np.random.Generator) -> np.ndarray:

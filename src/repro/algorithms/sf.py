@@ -20,16 +20,15 @@ uniformity, which makes the algorithm consistent.
 from __future__ import annotations
 
 import bisect
-import numbers
 
 import numpy as np
 
+from ..core.gls import inverse_variance_combine
 from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm, check_real_param
-from .inference import inverse_variance_combine
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param, check_real_param
 from .mechanisms import BudgetExceededError, PrivacyBudget, exponential_mechanism
 
 __all__ = ["StructureFirst"]
@@ -64,11 +63,7 @@ class StructureFirst(PlanAlgorithm):
 
     def check_params(self) -> None:
         check_real_param(self.params, "rho", high=1.0)
-        buckets = self.params["buckets"]
-        if buckets is not None and (isinstance(buckets, bool)
-                                    or not isinstance(buckets, numbers.Integral)
-                                    or buckets < 1):
-            raise ValueError(f"buckets must be None or a positive int, got {buckets!r}")
+        check_int_param(self.params, "buckets", 1, optional=True)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

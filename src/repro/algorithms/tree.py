@@ -28,8 +28,9 @@ is the executable specification the property suite pins the arrays against.
 Compatibility: ``tree.nodes``, ``tree.levels()`` and ``tree.leaves()`` still
 yield :class:`TreeNode` values — lightweight proxies materialised on demand
 from the arrays — so existing consumers and tests run unchanged.  Hot paths
-(inference plans, GLS expansion, level tables, usage counts) read the arrays
-directly and never materialise a node.
+(the level plan and leaf expansion of the tree GLS solve in
+:mod:`repro.core.gls`, level tables, usage counts) read the arrays directly
+and never materialise a node.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ class HierarchicalTree:
         self._levels_2d: list[dict] | None = None
         self._leaf_indices: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
+        self._two_pass: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- construction -------------------------------------------------------------
     @staticmethod
@@ -438,6 +440,44 @@ class HierarchicalTree:
         if self._sizes is None:
             self._sizes = (self._hi - self._lo + 1).prod(axis=1)
         return self._sizes
+
+    def two_pass_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Level plan of the two-pass GLS solve (cached): groups of
+        ``(parents, children)`` index arrays in top-down level order.
+
+        Per level, internal nodes are grouped by child count ``k`` so that every
+        group reduces an exact ``(rows, k)`` matrix — reductions then reproduce
+        the per-node float operations of the original node-at-a-time solver
+        bit-for-bit (see the summation notes in
+        :func:`repro.core.gls.tree_least_squares`).  A node's children always
+        live one level below it, so the flattened group list streamed
+        top-down (pass 2) or bottom-up (pass 1) preserves the historical
+        level-by-level data dependencies exactly.
+        """
+        if self._two_pass is None:
+            groups = []
+            counts = np.diff(self._child_offsets)
+            for lvl in range(self.n_levels):
+                s = int(self._level_offsets[lvl])
+                e = int(self._level_offsets[lvl + 1])
+                level_counts = counts[s:e]
+                internal = np.flatnonzero(level_counts) + s
+                if internal.size == 0:
+                    continue
+                internal_counts = level_counts[internal - s]
+                # Groups ordered by ascending k, node order preserved within a
+                # group (np.flatnonzero scans in index order) — the historical
+                # grouping.
+                for k in np.unique(internal_counts):
+                    k = int(k)
+                    parents = internal[internal_counts == k]
+                    # Children of node p occupy the contiguous index run
+                    # starting at offsets[p] + 1 (breadth-first layout).
+                    children = self._child_offsets[parents][:, None] + np.arange(1, k + 1)
+                    groups.append((parents.astype(np.intp, copy=False),
+                                   children.astype(np.intp, copy=False)))
+            self._two_pass = groups
+        return self._two_pass
 
     def _node(self, index: int) -> TreeNode:
         """Materialise one :class:`TreeNode` proxy from the arrays."""

@@ -1,9 +1,11 @@
 """DPBench core: the evaluation framework itself.
 
 NOTE: ``.benchmark`` must stay among the first imports here — it forces the
-``repro.algorithms`` package to finish initialising, which ``.registry``
-(attribute access on the algorithms package) and the algorithm modules'
-imports of ``.measurement``/``.gls`` rely on.
+``repro.algorithms`` package to finish initialising before the inference
+modules load.  ``.registry`` reads attributes of that package, and two edges
+into it remain: ``.plan`` imports ``algorithms.mechanisms``, and
+``repro.workload`` (imported by ``.measurement`` and ``.gls``) imports
+``algorithms.mechanisms`` and ``algorithms.tree``.
 """
 
 from .analysis import (

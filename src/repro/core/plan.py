@@ -14,9 +14,9 @@ post-processing.  This module makes those stages explicit:
   queries on the data and perturbs them with Laplace noise, metered through a
   :class:`~repro.algorithms.mechanisms.PrivacyBudget` so over-spending raises
   :class:`~repro.algorithms.mechanisms.BudgetExceededError`;
-* :func:`reconstruct` is the **inference stage**: the generic sparse GLS solve
-  (:func:`~repro.core.gls.solve_gls`), with exact closed forms for tree-tagged
-  and disjoint plans, followed by the plan's structural expansions
+* :func:`reconstruct` is the **inference stage**: one generic sparse GLS solve
+  (:func:`~repro.core.gls.solve_gls`, exact closed forms for tree-tagged and
+  disjoint plans included), followed by the plan's structural expansions
   (bucket -> cell uniform expansion, ordering inversion).
 
 Algorithms plug in through :class:`~repro.algorithms.base.PlanAlgorithm`,
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from ..algorithms.mechanisms import PrivacyBudget
-from ..workload.linops import QueryMatrix, _expand_runs
+from ..workload.linops import QueryMatrix
 from .gls import solve_gls
 from .kernels import batched_laplace
 from .measurement import MeasurementSet
@@ -285,36 +285,6 @@ def measure_plan(
                           epsilon_spent=float(epsilon_spent), tree=plan.tree)
 
 
-def _disjoint_estimate(measured: MeasurementSet) -> np.ndarray:
-    """Exact GLS for mutually disjoint queries: each query's answer is spread
-    uniformly over its own cells (cells no query covers stay at the min-norm
-    zero).  Direct scatter, not an adjoint cumsum, so single-cell systems
-    (AHP clusters, PHP buckets, Identity) reproduce the historical per-bucket
-    assignments bit-for-bit."""
-    queries = measured.queries
-    per_cell = measured.values / queries.query_sizes()
-    estimate = np.zeros(queries.domain_shape)
-    if queries.ndim == 1:
-        lengths = queries.his[:, 0] - queries.los[:, 0] + 1
-        cells = _expand_runs(queries.los[:, 0], lengths)
-        estimate[cells] = np.repeat(per_cell, lengths)
-        return estimate
-    # 2-D scatter, vectorised run-by-run exactly like to_sparse: one run per
-    # covered row of each rectangle, flat cell indices per run.  Disjointness
-    # makes the write order irrelevant, and each cell receives the very same
-    # float the per-rectangle slice assignments wrote, so the result is
-    # bitwise-identical to the historical Python loop.
-    _, cols = queries.domain_shape
-    heights = queries.his[:, 0] - queries.los[:, 0] + 1
-    widths = queries.his[:, 1] - queries.los[:, 1] + 1
-    run_rows = _expand_runs(queries.los[:, 0], heights)
-    run_query = np.repeat(np.arange(queries.n_queries), heights)
-    starts = run_rows * cols + queries.los[run_query, 1]
-    cells = _expand_runs(starts, widths[run_query])
-    estimate.reshape(-1)[cells] = np.repeat(per_cell, heights * widths)
-    return estimate
-
-
 def reconstruct(
     plan: MeasurementPlan,
     measurements: MeasurementSet,
@@ -322,22 +292,14 @@ def reconstruct(
 ) -> np.ndarray:
     """The inference stage: consistent cell estimates from the measurements.
 
-    Solves the weighted least-squares problem over the measurement domain —
-    the exact two-pass fast path for tree-tagged plans, an exact direct
-    scatter for mutually disjoint query sets, matrix-free LSMR otherwise —
-    then applies the plan's structural expansions: bucket estimates are
-    spread uniformly over their cells (``partition``) and the cell ordering
-    is inverted (``ordering``).
+    Solves the weighted least-squares problem over the measurement domain
+    with :func:`~repro.core.gls.solve_gls` — the exact two-pass fast path for
+    tree-tagged plans, an exact direct scatter for mutually disjoint query
+    sets, matrix-free LSMR otherwise — then applies the plan's structural
+    expansions: bucket estimates are spread uniformly over their cells
+    (``partition``) and the cell ordering is inverted (``ordering``).
     """
-    if plan.tree is not None or method != "auto":
-        estimate = solve_gls(measurements, method=method)
-    else:
-        measured = measurements.measured()
-        if len(measured) and measured.queries.cell_counts().max() <= 1:
-            estimate = _disjoint_estimate(measured)
-        else:
-            estimate = solve_gls(measurements)
-    estimate = np.asarray(estimate, dtype=float)
+    estimate = np.asarray(solve_gls(measurements, method=method), dtype=float)
 
     if plan.partition is not None:
         widths = np.diff(plan.partition)

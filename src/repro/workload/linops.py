@@ -41,6 +41,23 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.asarray(starts, dtype=np.intp)[run_ids] + run_offsets
 
 
+def _region_cells(los: np.ndarray, his: np.ndarray,
+                  domain_shape: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the cells of every inclusive box, box by box.
+
+    A 1-D box is one run of cells; a 2-D box is one run per covered row, so
+    box ``i`` contributes its cells row-major as one contiguous block of the
+    output, fully vectorised with no per-box Python loop.
+    """
+    if len(domain_shape) == 1:
+        return _expand_runs(los[:, 0], his[:, 0] - los[:, 0] + 1)
+    heights = his[:, 0] - los[:, 0] + 1
+    owner = np.repeat(np.arange(los.shape[0]), heights)
+    rows = _expand_runs(los[:, 0], heights)
+    return _expand_runs(rows * domain_shape[1] + los[owner, 1],
+                        (his[:, 1] - los[:, 1] + 1)[owner])
+
+
 class QueryMatrix:
     """The 0/1 matrix of a set of inclusive axis-aligned range queries.
 
@@ -167,14 +184,20 @@ class QueryMatrix:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_queries,):
             raise ValueError(f"expected {self.n_queries} coefficients, got shape {y.shape}")
+        return self._corner_scatter(y, float)
+
+    def _corner_scatter(self, y, dtype) -> np.ndarray:
+        """``W.T @ y`` in ``dtype``: scatter ``y`` (an array or a scalar
+        applied to every query) onto the corners of each range of a
+        difference array, then cumulative-sum it across the covered cells."""
         if self.ndim == 1:
             (n,) = self._domain_shape
-            diff = np.zeros(n + 1)
+            diff = np.zeros(n + 1, dtype=dtype)
             np.add.at(diff, self._los[:, 0], y)
             np.add.at(diff, self._his[:, 0] + 1, -y)
             return np.cumsum(diff)[:-1]
         rows, cols = self._domain_shape
-        diff = np.zeros((rows + 1, cols + 1))
+        diff = np.zeros((rows + 1, cols + 1), dtype=dtype)
         r0, c0 = self._los[:, 0], self._los[:, 1]
         r1, c1 = self._his[:, 0] + 1, self._his[:, 1] + 1
         np.add.at(diff, (r0, c0), y)
@@ -189,25 +212,8 @@ class QueryMatrix:
         if counts is None:
             with self._lock:
                 if self._cell_counts is None:
-                    if self.ndim == 1:
-                        (n,) = self._domain_shape
-                        diff = np.zeros(n + 1, dtype=np.int64)
-                        np.add.at(diff, self._los[:, 0], 1)
-                        np.add.at(diff, self._his[:, 0] + 1, -1)
-                        counts = np.cumsum(diff)[:-1]
-                    else:
-                        rows, cols = self._domain_shape
-                        diff = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-                        r0, c0 = self._los[:, 0], self._los[:, 1]
-                        r1, c1 = self._his[:, 0] + 1, self._his[:, 1] + 1
-                        np.add.at(diff, (r0, c0), 1)
-                        np.add.at(diff, (r0, c1), -1)
-                        np.add.at(diff, (r1, c0), -1)
-                        np.add.at(diff, (r1, c1), 1)
-                        counts = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
-                    self._cell_counts = counts
-                else:
-                    counts = self._cell_counts
+                    self._cell_counts = self._corner_scatter(1, np.int64)
+                counts = self._cell_counts
         return counts
 
     def sensitivity(self) -> int:
@@ -312,26 +318,9 @@ class QueryMatrix:
                 if self._csr is None:
                     from scipy import sparse
 
-                    if self.ndim == 1:
-                        starts = self._los[:, 0]
-                        lengths = self._his[:, 0] - self._los[:, 0] + 1
-                    else:
-                        _, cols = self._domain_shape
-                        heights = self._his[:, 0] - self._los[:, 0] + 1
-                        # One run per covered row of each rectangle.
-                        run_rows = _expand_runs(self._los[:, 0], heights)
-                        run_query = np.repeat(np.arange(self.n_queries), heights)
-                        starts = run_rows * cols + self._los[run_query, 1]
-                        lengths = (self._his[:, 1] - self._los[:, 1] + 1)[run_query]
-                    indices = _expand_runs(starts, lengths)
-                    if self.ndim == 1:
-                        indptr = np.zeros(self.n_queries + 1, dtype=np.intp)
-                        np.cumsum(lengths, out=indptr[1:])
-                    else:
-                        per_query = np.zeros(self.n_queries, dtype=np.intp)
-                        np.add.at(per_query, run_query, lengths)
-                        indptr = np.zeros(self.n_queries + 1, dtype=np.intp)
-                        np.cumsum(per_query, out=indptr[1:])
+                    indices = _region_cells(self._los, self._his, self._domain_shape)
+                    indptr = np.zeros(self.n_queries + 1, dtype=np.intp)
+                    np.cumsum(self.query_sizes(), out=indptr[1:])
                     data = np.ones(indices.size)
                     self._csr = sparse.csr_matrix(
                         (data, indices, indptr),

@@ -102,15 +102,26 @@ BAD_PARAMS = [
     ("SF", "rho", 0.0), ("SF", "rho", 1.0), ("SF", "rho", 1.5), ("SF", "rho", None),
     ("SF", "buckets", 0), ("SF", "buckets", -3), ("SF", "buckets", True),
     ("SF", "buckets", 2.5), ("SF", "buckets", "4"),
+    ("H", "branching", 2.7), ("H", "branching", 1), ("H", "branching", True),
+    ("GreedyH", "branching", 0), ("GreedyH", "branching", 2.5),
+    ("DAWA", "branching", 1), ("DAWA", "branching", "2"),
+    ("QuadTree", "max_height", -1), ("QuadTree", "max_height", 0),
+    ("QuadTree", "max_height", 2.5), ("QuadTree", "max_height", None),
+    ("HybridTree", "kd_levels", -1), ("HybridTree", "kd_levels", 1.5),
+    ("HybridTree", "max_height", 0), ("HybridTree", "max_height", -2),
+    ("HybridTree", "rho", 0), ("HybridTree", "rho", 1.5), ("HybridTree", "rho", np.nan),
 ]
 
 
 class TestFreeParameterBoundary:
-    """SF, UGrid and AGrid reject unusable free parameters with a
-    ``ValueError`` before any noise is drawn.  Zero ``c``/``c2`` used to raise
-    ``ZeroDivisionError`` mid-release, a negative ``c`` silently collapsed
-    UGrid to one block, and SF replaced a falsy ``buckets`` by its default
-    and truncated a fractional one."""
+    """SF, UGrid, AGrid and the tree-solve users reject unusable free
+    parameters with a ``ValueError`` before any noise is drawn.  Zero
+    ``c``/``c2`` used to raise ``ZeroDivisionError`` mid-release, a negative
+    ``c`` silently collapsed UGrid to one block, SF replaced a falsy
+    ``buckets`` by its default and truncated a fractional one, H released a
+    fractional ``branching`` truncated, QuadTree released a root-only tree
+    for a non-positive ``max_height``, and HybridTree drew noise for a
+    negative ``kd_levels``."""
 
     @pytest.mark.parametrize("name,param,value", BAD_PARAMS, ids=repr)
     def test_rejects_before_drawing(self, name, param, value, data_1d, data_2d):
@@ -136,6 +147,12 @@ class TestFreeParameterBoundary:
         ("UGrid", {"c": np.float64(1e6)}),
         ("SF", {"buckets": np.int64(5), "rho": 1e-3}),
         ("SF", {"buckets": 10_000}),
+        ("H", {"branching": np.int64(3)}),
+        ("GreedyH", {"branching": 2}),
+        ("DAWA", {"branching": 16}),
+        ("QuadTree", {"max_height": 1}),
+        ("HybridTree", {"kd_levels": 0, "max_height": 1, "rho": 0.999}),
+        ("HybridTree", {"kd_levels": np.int64(5), "rho": 1e-3}),
     ], ids=repr)
     def test_accepts_boundary_values(self, name, params, data_1d, data_2d, rng):
         algorithm = make_algorithm(name, **params)

@@ -19,9 +19,9 @@ import pytest
 
 import repro.algorithms.sf
 from repro.algorithms.grids import AGrid
-from repro.algorithms.inference import inverse_variance_combine
 from repro.algorithms.mechanisms import PrivacyBudget, exponential_mechanism, laplace_noise
 from repro.algorithms.sf import StructureFirst
+from repro.core.gls import inverse_variance_combine
 from repro.workload.rangequery import Workload
 
 

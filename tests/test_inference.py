@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.inference import inverse_variance_combine, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
+from repro.core.gls import inverse_variance_combine, tree_least_squares
 
 
 class TestInverseVarianceCombine:

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms.dawa import l1_partition, l1_partition_reference
-from repro.algorithms.inference import _inference_plan, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 from repro.core import kernels
+from repro.core.gls import tree_least_squares
 from repro.core.kernels import (
     TREE_BLOCK,
     active_backend,
@@ -191,7 +191,7 @@ class TestTreeTwoPass:
     ])
     def test_scalar_sources_match_numpy_backend(self, branching, n_leaves, frac):
         tree, meas, var = _random_tree_case(17, branching, n_leaves, frac)
-        plan = _inference_plan(tree)
+        plan = tree.two_pass_groups()
         own_values = np.where(np.isfinite(meas), meas, 0.0)
         own_vars = np.where(np.isfinite(meas), var, np.inf)
         ref = kernels._tree_two_pass_numpy(plan, own_values, own_vars)
@@ -201,7 +201,7 @@ class TestTreeTwoPass:
     def test_blocking_is_bitwise_invariant(self):
         """Tiny blocks chunk every level many times; results must not move."""
         tree, meas, var = _random_tree_case(23, 2, 512, 0.25)
-        plan = _inference_plan(tree)
+        plan = tree.two_pass_groups()
         own_values = np.where(np.isfinite(meas), meas, 0.0)
         own_vars = np.where(np.isfinite(meas), var, np.inf)
         ref = kernels._tree_two_pass_numpy(plan, own_values, own_vars)

@@ -462,7 +462,7 @@ class TestDisjointEstimate2D:
 
     def test_bitwise_identical_to_slice_loop(self):
         from repro.core.measurement import MeasurementSet
-        from repro.core.plan import _disjoint_estimate
+        from repro.core.gls import _solve_disjoint as _disjoint_estimate
 
         for trial in range(10):
             rng = np.random.default_rng(200 + trial)
@@ -482,7 +482,7 @@ class TestDisjointEstimate2D:
 
     def test_single_cell_queries_exact_scatter(self):
         from repro.core.measurement import MeasurementSet
-        from repro.core.plan import _disjoint_estimate
+        from repro.core.gls import _solve_disjoint as _disjoint_estimate
 
         rng = np.random.default_rng(3)
         shape = (5, 6)

@@ -9,9 +9,9 @@ from repro import Dataset, PrefixSum, RangeQuery, Workload, scaled_average_per_q
 from repro.algorithms.ahp import greedy_value_clustering
 from repro.algorithms.dawa import l1_partition, l1_partition_reference
 from repro.algorithms.hilbert import flatten_2d, unflatten_2d
-from repro.algorithms.inference import tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 from repro.algorithms.wavelet import haar_forward, haar_inverse
+from repro.core.gls import tree_least_squares
 from repro.data.synthetic import apply_sparsity
 
 SETTINGS = settings(max_examples=40, deadline=None,
