@@ -16,7 +16,7 @@ import numpy as np
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_real_param
 from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 
 __all__ = ["AHP", "AHPStar", "greedy_value_clustering"]
@@ -70,12 +70,14 @@ class AHP(PlanAlgorithm):
         reference="Zhang, Chen, Xu, Meng, Xie. ICDM 2014",
     )
 
+    def check_params(self) -> None:
+        check_real_param(self.params, "rho", high=1.0)
+        check_real_param(self.params, "eta", low_inclusive=True)
+
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
         rho = float(self.params["rho"])
         eta = float(self.params["eta"])
-        if not 0 < rho < 1:
-            raise ValueError(f"rho must be in (0, 1), got {rho}")
         eps_cluster = budget.spend(budget.total * rho, "clustering")
         eps_counts = budget.remaining
         if eps_counts <= 0:

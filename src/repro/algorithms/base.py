@@ -90,15 +90,17 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
 
 
 def check_real_param(params: dict, name: str, low: float = 0.0,
-                     high: float = np.inf) -> None:
+                     high: float = np.inf, low_inclusive: bool = False) -> None:
     """Raise ``ValueError`` unless ``params[name]`` is a real number (not a
-    bool) strictly between ``low`` and ``high``; NaN and, with the default
-    ``high``, infinity fail."""
+    bool) strictly between ``low`` and ``high`` (or equal to ``low`` when
+    ``low_inclusive``); NaN and, with the default ``high``, infinity fail."""
     value = params[name]
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not low < value < high:
-        raise ValueError(f"{name} must be a real number in ({low:g}, {high:g}), "
-                         f"got {value!r}")
+            or not (low <= value if low_inclusive else low < value) \
+            or not value < high:
+        bracket = "[" if low_inclusive else "("
+        raise ValueError(f"{name} must be a real number in {bracket}{low:g}, "
+                         f"{high:g}), got {value!r}")
 
 
 def check_int_param(params: dict, name: str, low: int, optional: bool = False) -> None:

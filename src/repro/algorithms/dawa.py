@@ -42,7 +42,7 @@ from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan, measure_plan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm, check_int_param
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param, check_real_param
 from .greedy_h import greedy_budget_allocation
 from .hier import tree_plan
 from .hilbert import plan_flattening
@@ -236,6 +236,7 @@ class DAWA(PlanAlgorithm):
 
     def check_params(self) -> None:
         check_int_param(self.params, "branching", 2)
+        check_real_param(self.params, "rho", high=1.0)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

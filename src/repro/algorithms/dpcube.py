@@ -29,7 +29,7 @@ from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan, measure_plan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_real_param
 from .identity import identity_queries
 from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 
@@ -54,6 +54,9 @@ class DPCube(PlanAlgorithm):
         parameters={"rho": 0.5, "n_partitions": 10},
         reference="Xiao, Xiong, Fan, Goryczka, Li. TDP 2014",
     )
+
+    def check_params(self) -> None:
+        check_real_param(self.params, "rho", high=1.0)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

@@ -36,7 +36,7 @@ from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
 from ..workload.selection import greedy_tree_strategy
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param
 from .greedy_h import greedy_budget_allocation
 from .hier import tree_plan
 from .hilbert import plan_flattening
@@ -57,6 +57,14 @@ class GreedyW(PlanAlgorithm):
         parameters={"branchings": (2, 4, 8, 16), "native_2d": True},
         reference="This reproduction: greedy matrix-mechanism-style selection",
     )
+
+    def check_params(self) -> None:
+        branchings = self.params["branchings"]
+        if not isinstance(branchings, (list, tuple)) or not branchings:
+            raise ValueError("branchings must be a non-empty sequence of "
+                             f"integers >= 2, got {branchings!r}")
+        for branching in branchings:
+            check_int_param({"branchings": branching}, "branchings", 2)
 
     def _strategy_for(self, domain_shape: tuple[int, ...], workload: Workload):
         """Memoised greedy selection: one search per (domain, workload)."""

@@ -22,7 +22,7 @@ from ..core.plan import MeasurementPlan
 from ..workload.builders import default_workload
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_int_param
 from .mechanisms import PrivacyBudget, exponential_mechanism, laplace_noise
 
 __all__ = ["MWEM", "MWEMStar", "default_mwem_rounds", "multiplicative_weights_update"]
@@ -162,6 +162,9 @@ class MWEM(PlanAlgorithm):
         reference="Hardt, Ligett, McSherry. NIPS 2012",
     )
 
+    def check_params(self) -> None:
+        check_int_param(self.params, "rounds", 1)
+
     def _resolve_rounds(self, epsilon: float, scale: float) -> int:
         return int(self.params["rounds"])
 
@@ -264,6 +267,9 @@ class MWEMStar(MWEM):
         consistent=False,
         reference="DPBench repaired variant of MWEM",
     )
+
+    def check_params(self) -> None:
+        check_int_param(self.params, "rounds", 1, optional=True)
 
     def _resolve_rounds(self, epsilon: float, scale: float) -> int:
         rounds = self.params.get("rounds")

@@ -25,7 +25,7 @@ import numpy as np
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, check_real_param
 from .mechanisms import (
     BudgetExceededError,
     PrivacyBudget,
@@ -71,6 +71,9 @@ class PHP(PlanAlgorithm):
         consistent=False,
         reference="Acs, Castelluccia, Chen. ICDM 2012",
     )
+
+    def check_params(self) -> None:
+        check_real_param(self.params, "rho", high=1.0)
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

@@ -64,6 +64,8 @@ class StructureFirst(PlanAlgorithm):
     def check_params(self) -> None:
         check_real_param(self.params, "rho", high=1.0)
         check_int_param(self.params, "buckets", 1, optional=True)
+        if self.params["count_bound"] is not None:
+            check_real_param(self.params, "count_bound")
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:

@@ -31,6 +31,19 @@ from the arrays — so existing consumers and tests run unchanged.  Hot paths
 (the level plan and leaf expansion of the tree GLS solve in
 :mod:`repro.core.gls`, level tables, usage counts) read the arrays directly
 and never materialise a node.
+
+Usage counts
+------------
+GreedyH, the second stage of DAWA and GreedyW budget a tree by how many
+nodes of each level the canonical decompositions of the workload queries
+use.  One counter answers this for 1-D and 2-D trees, with every level
+measured (:meth:`HierarchicalTree.level_usage`) or only some
+(:func:`repro.workload.selection.subset_level_usage`).  It reads one table
+format per level: the sorted interval partition of each axis, plus prefix
+counts of the grid cells holding a node and of the multi-cell leaves.
+:func:`subset_usage_reference` is the per-query recursion the counter is
+tested against, and the fallback for 2-D trees whose levels are not grid
+subsets.
 """
 
 from __future__ import annotations
@@ -48,46 +61,50 @@ from ..workload.prefix_sum import PrefixSum
 _MAX_CELLS = 2 ** 62
 
 
-def _grid_count(prefix: np.ndarray, i0, j0, i1, j1):
-    """Marked level-grid cells in rows ``[i0, j0)`` x cols ``[i1, j1)``.
+def _box_count(prefix: np.ndarray | None, runs) -> np.ndarray:
+    """Nodes of one level grid inside a box of per-axis index runs.
 
-    ``prefix`` is a 2-D inclusive prefix-sum table with a zero border; empty
-    runs (``j <= i``) count zero.  All arguments vectorise over queries.
+    ``runs`` holds one ``(a, b)`` pair per axis, the half-open position run
+    ``[a, b)`` (empty when ``b <= a``); all arguments vectorise over queries.
+    ``prefix`` is the level's inclusive prefix count with a zero border, or
+    ``None`` when every grid cell holds a node, so the count is the volume.
     """
-    b0 = np.maximum(j0, i0)
-    b1 = np.maximum(j1, i1)
-    return prefix[b0, b1] - prefix[i0, b1] - prefix[b0, i1] + prefix[i0, i1]
+    if prefix is None:
+        count = None
+        for a, b in runs:
+            run = b - a
+            np.maximum(run, 0, out=run)
+            count = run if count is None else count * run
+        return count
+    runs = [(a, np.maximum(a, b)) for a, b in runs]
+    if len(runs) == 1:
+        (a, b), = runs
+        return prefix[b] - prefix[a]
+    (a0, b0), (a1, b1) = runs
+    return prefix[b0, b1] - prefix[a0, b1] - prefix[b0, a1] + prefix[a0, a1]
 
 
-def _descendant_run(pstarts, pends, pi, pj, starts, ends):
-    """Run of this level's axis intervals descending from the previous
-    level's run ``[pi, pj)``: the intervals inside the run's span.  Garbage
-    for empty parent runs — callers mask those out."""
-    first = np.minimum(pi, pstarts.size - 1)
-    last = np.minimum(np.maximum(pj - 1, 0), pstarts.size - 1)
-    a = np.searchsorted(starts, pstarts[first], side="left")
-    b = np.searchsorted(ends, pends[last], side="right")
-    return a, b
+def _rank_runs(starts, ends, los, his) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the position run ``[a, b)`` of the sorted intervals that
+    start at or after ``lo`` and end at or before ``hi``; one ``(a, b)`` pair
+    per axis, vectorised over the bounds."""
+    return [(s.searchsorted(lo, side="left"), e.searchsorted(hi, side="right"))
+            for s, e, lo, hi in zip(starts, ends, los, his)]
 
 
-def _workload_bounds(workload) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query ``(los, his)`` bound arrays of a workload, shape ``(q, ndim)``.
+def _prefix_count(marks: np.ndarray) -> np.ndarray:
+    """Inclusive prefix count of a 1-D or 2-D mark grid, with a zero border."""
+    count = np.zeros(tuple(n + 1 for n in marks.shape), dtype=np.intp)
+    acc = marks.astype(np.intp)
+    for axis in range(marks.ndim):
+        acc = acc.cumsum(axis=axis)
+    count[(slice(1, None),) * marks.ndim] = acc
+    return count
 
-    :class:`~repro.workload.rangequery.Workload` already carries the bounds as
-    arrays — read them directly instead of looping over a million query
-    objects.  Plain query sequences (tests, ad-hoc lists) fall back to the
-    historical comprehension; either way the values are identical, so every
-    rank-query consumer stays bitwise-unchanged.
-    """
-    los = getattr(workload, "_los", None)
-    his = getattr(workload, "_his", None)
-    if los is None or his is None:
-        los = np.array([q.lo for q in workload], dtype=np.intp)
-        his = np.array([q.hi for q in workload], dtype=np.intp)
-    return np.atleast_2d(los), np.atleast_2d(his)
 
 __all__ = ["TreeNode", "HierarchicalTree", "IrregularTreeLevels", "build_tree",
-           "build_reference_nodes", "optimal_branching"]
+           "build_reference_nodes", "subset_usage_reference",
+           "optimal_branching"]
 
 
 class IrregularTreeLevels(ValueError):
@@ -213,9 +230,7 @@ class HierarchicalTree:
         self.max_height = max_height
         self._build()
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
-        self._levels_1d: list[dict] | None = None
-        self._leaves_1d: dict | None = None
-        self._levels_2d: list[dict] | None = None
+        self._tables: list[dict] | IrregularTreeLevels | None = None
         self._leaf_indices: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
         self._two_pass: list[tuple[np.ndarray, np.ndarray]] | None = None
@@ -567,225 +582,181 @@ class HierarchicalTree:
         """Number of nodes per level used by the canonical decomposition of
         every workload query.  Drives GreedyH's budget allocation.
 
-        The counts are computed with vectorised rank queries —
+        The all-levels-measured case of the one usage counter: vectorised
+        rank queries over the per-level tables (:meth:`_level_tables`),
         O((q + nodes) log nodes) instead of one recursive decomposition per
-        query — over the sorted per-level interval tables in 1-D and the
-        per-level grid tables in 2-D; only 2-D trees with irregular levels
-        (:class:`IrregularTreeLevels`) fall back to the recursion.
+        query.  Only 2-D trees with irregular levels
+        (:class:`IrregularTreeLevels`) fall back to the recursion
+        :func:`subset_usage_reference`.
         """
-        if len(self.domain_shape) == 1:
-            return self._level_usage_1d(workload)
-        try:
-            return self._subset_usage_2d(workload,
-                                         np.ones(self.n_levels, dtype=bool))
-        except IrregularTreeLevels:
-            pass
-        usage = np.zeros(self.n_levels)
-        for query in workload:
-            for idx in self.decompose_range(query.lo, query.hi):
-                usage[int(self._level[idx])] += 1
-        return usage
+        return self._usage(workload, np.ones(self.n_levels, dtype=bool))
 
-    def _level_tables_1d(self):
-        """Sorted per-level interval tables used by the vectorised usage count."""
-        if self._levels_1d is None:
-            starts_all = self._lo[:, 0].astype(np.intp, copy=False)
-            ends_all = self._hi[:, 0].astype(np.intp, copy=False)
-            offsets = self._child_offsets
-            tables = []
-            for lvl in range(self.n_levels):
-                s = int(self._level_offsets[lvl])
-                e = int(self._level_offsets[lvl + 1])
-                # Nodes within a level are created left-to-right, so starts
-                # (and, the intervals being disjoint, ends) are sorted.
-                tables.append({
-                    "starts": starts_all[s:e],
-                    "ends": ends_all[s:e],
-                    "kids_cum": (offsets[s:e + 1] - offsets[s]).astype(np.intp),
-                })
-            self._levels_1d = tables
-        if self._leaves_1d is None:
-            leaf_idx = self.leaf_indices()
-            order = np.argsort(self._lo[leaf_idx, 0], kind="stable")
-            leaf_idx = leaf_idx[order]
-            self._leaves_1d = {
-                "starts": self._lo[leaf_idx, 0].astype(np.intp, copy=False),
-                "ends": self._hi[leaf_idx, 0].astype(np.intp, copy=False),
-                "levels": self._level[leaf_idx].astype(np.intp, copy=False),
-            }
-        return self._levels_1d, self._leaves_1d
-
-    def _level_usage_1d(self, workload) -> np.ndarray:
-        tables, leaves = self._level_tables_1d()
-        qlos, qhis = _workload_bounds(workload)
-        los, his = qlos[:, 0], qhis[:, 0]
-        usage = np.zeros(self.n_levels)
-
-        # A node is used iff it lies inside the query while its parent does
-        # not (the root is used whenever it is inside).  Per level, the inside
-        # nodes form a contiguous run of the sorted intervals, and the number
-        # of nodes whose parent is inside is the child count of the previous
-        # level's inside run.
-        prev_run = None
-        for level, table in enumerate(tables):
-            i = np.searchsorted(table["starts"], los, side="left")
-            j = np.searchsorted(table["ends"], his, side="right")
-            inside = np.maximum(j - i, 0)
-            covered = 0
-            if prev_run is not None:
-                pi, pj, ptable = prev_run
-                valid = pj > pi
-                covered = np.where(
-                    valid,
-                    ptable["kids_cum"][np.minimum(pj, ptable["kids_cum"].size - 1)]
-                    - ptable["kids_cum"][np.minimum(pi, ptable["kids_cum"].size - 1)],
-                    0,
-                )
-            usage[level] = float(np.sum(inside - covered))
-            prev_run = (i, j, table)
-
-        # Partial-overlap leaves: an intersecting but not-inside leaf at each
-        # end of the query (at most one per side, possibly the same leaf).
-        i0 = np.searchsorted(leaves["ends"], los, side="left")
-        j0 = np.searchsorted(leaves["starts"], his, side="right")
-        i1 = np.searchsorted(leaves["starts"], los, side="left")
-        j1 = np.searchsorted(leaves["ends"], his, side="right")
-        left = i1 > i0
-        right = j0 > j1
-        same = left & right & (i0 == j0 - 1)
-        if np.any(left):
-            np.add.at(usage, leaves["levels"][i0[left]], 1.0)
-        right_only = right & ~same
-        if np.any(right_only):
-            np.add.at(usage, leaves["levels"][j0[right_only] - 1], 1.0)
-        return usage
-
-    # -- 2-D level grids -----------------------------------------------------------
+    # -- level tables and the usage counter ----------------------------------------
     @staticmethod
-    def _axis_intervals(lo: np.ndarray, hi: np.ndarray):
-        """Distinct sorted intervals of one axis of a level.
+    def _axis_intervals(lo: np.ndarray, hi: np.ndarray, size: int):
+        """Distinct sorted intervals of one axis of a level, and the position
+        of every node's interval among them.
 
         Raises :class:`IrregularTreeLevels` unless the intervals are pairwise
-        disjoint-or-equal — the laminar per-axis structure the grid tables
-        rely on.
+        disjoint-or-equal — the laminar per-axis structure the level tables
+        rely on.  O(m + size), no sort.
         """
-        starts, first = np.unique(lo, return_index=True)
-        ends = hi[first]
-        if not np.array_equal(hi, ends[np.searchsorted(starts, lo)]):
+        if (lo[1:] > hi[:-1]).all():
+            # Already sorted and disjoint (every 1-D level).
+            return (np.ascontiguousarray(lo), np.ascontiguousarray(hi),
+                    np.arange(lo.size))
+        end_at = np.full(size, -1, dtype=np.intp)
+        end_at[lo] = hi
+        if not np.array_equal(end_at[lo], hi):
             raise IrregularTreeLevels(
                 "intervals with equal starts but different ends within a level")
+        is_start = end_at >= 0
+        starts = np.flatnonzero(is_start)
+        ends = end_at[starts]
         if np.any(starts[1:] <= ends[:-1]):
             raise IrregularTreeLevels("overlapping axis intervals within a level")
-        return starts, ends
+        return starts, ends, np.cumsum(is_start)[lo] - 1
 
-    def _level_tables_2d(self) -> list[dict]:
-        """Per-level grid tables for vectorised 2-D usage counts (cached).
+    def _level_tables(self) -> list[dict]:
+        """One rank-query table per level, for 1-D and 2-D trees (cached).
 
-        Each level of a regular 2-D tree is a subset of the cross product of
-        one sorted interval partition per axis; the table holds the two axis
-        partitions plus 2-D prefix-sum counts of the existing nodes (and of
-        the leaves among them), so the number of nodes inside any rectangle
-        of grid positions is an O(1) lookup.  Raises
-        :class:`IrregularTreeLevels` when the product structure does not hold
-        (callers fall back to the per-query recursion).
+        Every level is a subset of the grid spanned by one sorted interval
+        partition per axis.  A table holds those partitions (``starts`` and
+        ``ends``, one array per axis), the prefix count of the grid cells
+        holding a node (``count``; ``None`` when every cell holds one, as on
+        every 1-D level and the levels of regular 2-D trees) and the prefix
+        count of the multi-cell leaves (``partial``; ``None`` when the level
+        has none) — the only nodes that can partly overlap a query.  Raises
+        :class:`IrregularTreeLevels` when a 2-D level is not a grid subset.
         """
-        if len(self.domain_shape) != 2:
-            raise ValueError("2-D level tables require a 2-D domain")
-        if self._levels_2d is None:
+        if self._tables is None:
             try:
-                self._levels_2d = self._build_level_tables_2d()
+                self._tables = self._build_level_tables()
             except IrregularTreeLevels as exc:
-                self._levels_2d = exc
-        if isinstance(self._levels_2d, IrregularTreeLevels):
-            raise self._levels_2d
-        return self._levels_2d
+                self._tables = exc
+        if isinstance(self._tables, IrregularTreeLevels):
+            raise self._tables
+        return self._tables
 
-    def _build_level_tables_2d(self) -> list[dict]:
-        offsets = self._child_offsets
+    def _build_level_tables(self) -> list[dict]:
+        lo, hi = self.node_bounds()
+        leaves = self.leaf_indices()
+        multi = leaves[(lo[leaves] != hi[leaves]).any(axis=1)]
+        multi_spans = multi.searchsorted(self._level_offsets)
         tables = []
         for lvl in range(self.n_levels):
             s = int(self._level_offsets[lvl])
             e = int(self._level_offsets[lvl + 1])
-            lo = self._lo[s:e].astype(np.intp, copy=False)
-            hi = self._hi[s:e].astype(np.intp, copy=False)
-            is_leaf = offsets[s + 1:e + 1] == offsets[s:e]
-            starts0, ends0 = self._axis_intervals(lo[:, 0], hi[:, 0])
-            starts1, ends1 = self._axis_intervals(lo[:, 1], hi[:, 1])
-            rows = np.searchsorted(starts0, lo[:, 0])
-            cols = np.searchsorted(starts1, lo[:, 1])
-            if np.unique(rows * starts1.size + cols).size != rows.size:
-                raise IrregularTreeLevels("two nodes share a level-grid cell")
-            exists = np.zeros((starts0.size, starts1.size), dtype=np.intp)
-            exists[rows, cols] = 1
-            count = np.zeros((starts0.size + 1, starts1.size + 1), dtype=np.intp)
-            count[1:, 1:] = exists.cumsum(axis=0).cumsum(axis=1)
-            leaf_count = None
-            if is_leaf.any():
-                leaves = np.zeros_like(exists)
-                leaves[rows[is_leaf], cols[is_leaf]] = 1
-                leaf_count = np.zeros_like(count)
-                leaf_count[1:, 1:] = leaves.cumsum(axis=0).cumsum(axis=1)
-            tables.append({"starts0": starts0, "ends0": ends0,
-                           "starts1": starts1, "ends1": ends1,
-                           "count": count, "leaf_count": leaf_count})
+            starts, ends, cells = zip(*(
+                self._axis_intervals(lo[s:e, d], hi[s:e, d], size)
+                for d, size in enumerate(self.domain_shape)))
+            grid = tuple(a.size for a in starts)
+            count = None
+            # Every node maps onto an interval of each axis, and every
+            # interval is some node's; in 1-D, m nodes onto m intervals is
+            # one-to-one, so the level fills its grid.
+            if len(grid) > 1 or grid[0] != e - s:
+                exists = np.zeros(grid, dtype=bool)
+                exists[cells] = True
+                # A duplicate cell collapses in the scatter: the sum is O(m).
+                if int(exists.sum()) != e - s:
+                    raise IrregularTreeLevels("two nodes share a level-grid cell")
+                if exists.size != e - s:
+                    count = _prefix_count(exists)
+            partial = None
+            if multi_spans[lvl + 1] > multi_spans[lvl]:
+                level_multi = multi[multi_spans[lvl]:multi_spans[lvl + 1]] - s
+                marks = np.zeros(grid, dtype=bool)
+                marks[tuple(c[level_multi] for c in cells)] = True
+                partial = _prefix_count(marks)
+            tables.append({"starts": starts, "ends": ends,
+                           "count": count, "partial": partial})
         return tables
 
-    def _subset_usage_2d(self, workload, measured: np.ndarray) -> np.ndarray:
-        """2-D analogue of the 1-D subset usage: per-level counts of the
-        nodes used by the canonical decomposition of every workload rectangle
-        when only the ``measured`` levels exist.
+    def _usage(self, workload, measured: np.ndarray) -> np.ndarray:
+        """Per-level node counts of the canonical decompositions of every
+        workload query when only the ``measured`` levels exist.
 
-        A node at a measured level is used iff it lies inside the rectangle
-        while its ancestor at the previous measured level does not; per level
-        the inside nodes occupy a rectangle of grid positions (one contiguous
-        interval run per axis), counted through the prefix tables, and the
-        ancestor-inside nodes occupy the grid rectangle spanned by the
-        previous run's descendants.  Partially overlapping leaves (aggregated
-        leaves at the rectangle boundary) count once each: leaves
-        intersecting minus leaves inside.  Callers must keep every leaf level
-        measured.  O((q + nodes) log nodes) total, no per-query recursion.
+        A node at a measured level is used iff it lies inside the query while
+        its ancestor at the previous measured level does not.  Per level the
+        inside nodes fill a box of grid positions (one contiguous interval
+        run per axis), and the nodes whose ancestor is inside fill the box
+        spanned by the previous level's inside run, read from per-level
+        descendant maps.  Multi-cell leaves that intersect a query without
+        lying inside it count once each.  Callers keep every leaf level
+        measured.  Irregular 2-D trees fall back to the recursion
+        :func:`subset_usage_reference`.
         """
-        tables = self._level_tables_2d()
-        los, his = _workload_bounds(workload)
-        qlo0, qlo1 = los[:, 0], los[:, 1]
-        qhi0, qhi1 = his[:, 0], his[:, 1]
+        domain_shape = getattr(workload, "domain_shape", None)
+        if domain_shape != self.domain_shape:
+            raise ValueError(
+                f"workload over domain {domain_shape} does not match the "
+                f"tree domain {self.domain_shape}")
+        try:
+            tables = self._level_tables()
+        except IrregularTreeLevels:
+            return subset_usage_reference(self, workload, measured)
+        qlos, qhis = workload._los.T, workload._his.T
         usage = np.zeros(self.n_levels)
-
         prev = None
-        for level, table in enumerate(tables):
-            if not measured[level]:
-                continue
-            i0 = np.searchsorted(table["starts0"], qlo0, side="left")
-            j0 = np.searchsorted(table["ends0"], qhi0, side="right")
-            i1 = np.searchsorted(table["starts1"], qlo1, side="left")
-            j1 = np.searchsorted(table["ends1"], qhi1, side="right")
-            inside = _grid_count(table["count"], i0, j0, i1, j1)
+        for level in np.flatnonzero(measured):
+            table = tables[level]
+            starts, ends = table["starts"], table["ends"]
+            runs = _rank_runs(starts, ends, qlos, qhis)
+            inside = _box_count(table["count"], runs)
             covered = 0
             if prev is not None:
-                pi0, pj0, pi1, pj1, ptable = prev
-                valid = (pj0 > pi0) & (pj1 > pi1)
-                a0, b0 = _descendant_run(ptable["starts0"], ptable["ends0"],
-                                         pi0, pj0,
-                                         table["starts0"], table["ends0"])
-                a1, b1 = _descendant_run(ptable["starts1"], ptable["ends1"],
-                                         pi1, pj1,
-                                         table["starts1"], table["ends1"])
-                covered = np.where(
-                    valid, _grid_count(table["count"], a0, b0, a1, b1), 0)
-            usage[level] = float(np.sum(inside - covered))
-            if table["leaf_count"] is not None:
-                # Partial-overlap leaves: intersecting but not inside.  Their
-                # ancestors are never inside (an inside ancestor would make
-                # the leaf inside), so they are used unconditionally.
-                ii0 = np.searchsorted(table["ends0"], qlo0, side="left")
-                jj0 = np.searchsorted(table["starts0"], qhi0, side="right")
-                ii1 = np.searchsorted(table["ends1"], qlo1, side="left")
-                jj1 = np.searchsorted(table["starts1"], qhi1, side="right")
-                intersecting = _grid_count(table["leaf_count"], ii0, jj0, ii1, jj1)
-                inside_leaves = _grid_count(table["leaf_count"], i0, j0, i1, j1)
-                usage[level] += float(np.sum(intersecting - inside_leaves))
-            prev = (i0, j0, i1, j1, table)
+                # Descendant runs of the previous measured level's inside
+                # runs, through sentinel-padded maps from each interval of
+                # that level to the run of this level's intervals inside it.
+                ptable, pruns = prev
+                maps = _rank_runs(starts, ends, ptable["starts"], ptable["ends"])
+                covered = _box_count(table["count"], [
+                    (np.concatenate((first, [axis.size]))[pi],
+                     np.concatenate(([0], stop))[pj])
+                    for (first, stop), axis, (pi, pj)
+                    in zip(maps, starts, pruns)])
+            usage[level] = float(inside.sum() - np.sum(covered))
+            if table["partial"] is not None:
+                # Intervals ending at or after lo and starting at or before
+                # hi: the runs of nodes that touch the query.
+                touching = _rank_runs(ends, starts, qlos, qhis)
+                usage[level] += float(np.sum(
+                    _box_count(table["partial"], touching)
+                    - _box_count(table["partial"], runs)))
+            prev = (table, runs)
         return usage
+
+
+def subset_usage_reference(tree: HierarchicalTree, workload,
+                           measured: np.ndarray) -> np.ndarray:
+    """Per-query recursive reference for the tree usage counts.
+
+    Walks the canonical decomposition over the measured levels only: a node
+    at a measured level is taken when inside the query (or when it is a
+    partially overlapping leaf); any other intersecting node recurses into
+    its children.  Exact for every tree shape — the executable specification
+    the vectorised rank-query counter is tested against, and the fallback
+    for 2-D trees whose levels are not grid subsets.
+    """
+    measured = np.asarray(measured, dtype=bool)
+    usage = np.zeros(tree.n_levels)
+    for query in workload:
+        stack = [0]
+        while stack:
+            node = tree.nodes[stack.pop()]
+            if any(nhi < qlo or nlo > qhi
+                   for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
+                                                 query.lo, query.hi)):
+                continue
+            inside = all(qlo <= nlo and nhi <= qhi
+                         for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
+                                                       query.lo, query.hi))
+            if measured[node.level] and (inside or node.is_leaf):
+                usage[node.level] += 1
+            else:
+                stack.extend(node.children)
+    return usage
 
 
 def build_reference_nodes(domain_shape: tuple[int, ...], branching: int = 2,

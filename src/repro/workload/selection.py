@@ -21,11 +21,12 @@ a greedy, data-independent selection over hierarchical candidate strategies:
   it); the tests cross-check the ranking against the exact dense GLS
   covariance on small domains.
 
-Everything is computed through the sorted per-level interval tables (1-D) or
-per-level grid tables (2-D) of
-:class:`~repro.algorithms.tree.HierarchicalTree` — vectorised rank queries,
-no dense strategy or workload matrices, and in 2-D no lossy Hilbert-span
-detour: the true rectangle workload is scored natively.
+Every usage count goes through the one counter of
+:class:`~repro.algorithms.tree.HierarchicalTree`, which owns the per-level
+tables (one sorted interval partition per axis, in 1-D and 2-D alike) —
+vectorised rank queries, no dense strategy or workload matrices, and in 2-D
+no lossy Hilbert-span detour: the true rectangle workload is scored
+natively.
 
 The result plugs straight into the plan pipeline: ``GreedyW``
 (:mod:`repro.algorithms.greedy_w`) wraps :func:`greedy_tree_strategy` as a
@@ -39,43 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.tree import HierarchicalTree, IrregularTreeLevels, \
-    _workload_bounds
+from ..algorithms.tree import HierarchicalTree, subset_usage_reference
 
 __all__ = ["TreeStrategy", "candidate_trees", "subset_level_usage",
            "subset_usage_reference", "predicted_workload_variance",
            "greedy_tree_strategy"]
-
-
-def subset_usage_reference(tree: HierarchicalTree, workload,
-                           measured: np.ndarray) -> np.ndarray:
-    """Per-query recursive reference for :func:`subset_level_usage`.
-
-    Walks the canonical decomposition over the measured levels only: a node
-    at a measured level is taken when inside the query (or when it is a
-    partially overlapping leaf); any other intersecting node recurses into
-    its children.  Exact for every tree shape — the executable specification
-    the vectorised rank-query paths are tested against, and the fallback for
-    trees whose 2-D levels are not grid products.
-    """
-    measured = np.asarray(measured, dtype=bool)
-    usage = np.zeros(tree.n_levels)
-    for query in workload:
-        stack = [0]
-        while stack:
-            node = tree.nodes[stack.pop()]
-            if any(nhi < qlo or nlo > qhi
-                   for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
-                                                 query.lo, query.hi)):
-                continue
-            inside = all(qlo <= nlo and nhi <= qhi
-                         for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
-                                                       query.lo, query.hi))
-            if measured[node.level] and (inside or node.is_leaf):
-                usage[node.level] += 1
-            else:
-                stack.extend(node.children)
-    return usage
 
 
 def subset_level_usage(tree: HierarchicalTree, workload,
@@ -90,10 +59,13 @@ def subset_level_usage(tree: HierarchicalTree, workload,
     decomposition; every leaf level must be measured, otherwise cells would
     be unidentifiable.
 
-    Vectorised over the workload via rank queries on the sorted per-level
-    interval tables (1-D) or the per-level grid tables (2-D) —
-    O((q + nodes) log nodes), no per-query recursion.  2-D trees whose
-    levels are not grid products fall back to the exact recursion.
+    One counter serves 1-D and 2-D trees, all levels measured or only some:
+    :meth:`HierarchicalTree.level_usage` is its all-measured case.  It runs
+    vectorised rank queries over the tree's per-level tables —
+    O((q + nodes) log nodes), no per-query recursion — and 2-D trees whose
+    levels are not grid subsets fall back to the exact recursion
+    :func:`subset_usage_reference`.  Raises ``ValueError`` for a workload
+    over another domain.
     """
     measured = np.asarray(measured, dtype=bool)
     if measured.shape != (tree.n_levels,):
@@ -101,55 +73,7 @@ def subset_level_usage(tree: HierarchicalTree, workload,
     leaf_levels = np.unique(tree.node_levels()[tree.leaf_indices()])
     if not measured[leaf_levels].all():
         raise ValueError("every leaf level must be measured")
-    if len(tree.domain_shape) == 2:
-        try:
-            return tree._subset_usage_2d(workload, measured)
-        except IrregularTreeLevels:
-            return subset_usage_reference(tree, workload, measured)
-
-    tables, leaves = tree._level_tables_1d()
-    qlos, qhis = _workload_bounds(workload)
-    los, his = qlos[:, 0], qhis[:, 0]
-    usage = np.zeros(tree.n_levels)
-
-    prev_run = None
-    for level, table in enumerate(tables):
-        if not measured[level]:
-            continue
-        i = np.searchsorted(table["starts"], los, side="left")
-        j = np.searchsorted(table["ends"], his, side="right")
-        inside = np.maximum(j - i, 0)
-        covered = 0
-        if prev_run is not None:
-            # Descendants (at this level) of the previous measured level's
-            # inside-run: the nodes lying within the run's interval span.
-            pi, pj, ptable = prev_run
-            valid = pj > pi
-            last = np.minimum(np.maximum(pj - 1, 0), ptable["starts"].size - 1)
-            first = np.minimum(pi, ptable["starts"].size - 1)
-            span_lo = ptable["starts"][first]
-            span_hi = ptable["ends"][last]
-            i2 = np.searchsorted(table["starts"], span_lo, side="left")
-            j2 = np.searchsorted(table["ends"], span_hi, side="right")
-            covered = np.where(valid, np.maximum(j2 - i2, 0), 0)
-        usage[level] = float(np.sum(inside - covered))
-        prev_run = (i, j, table)
-
-    # Partial-overlap leaves: an intersecting but not-inside leaf at each
-    # end of the query (at most one per side, possibly the same leaf).
-    i0 = np.searchsorted(leaves["ends"], los, side="left")
-    j0 = np.searchsorted(leaves["starts"], his, side="right")
-    i1 = np.searchsorted(leaves["starts"], los, side="left")
-    j1 = np.searchsorted(leaves["ends"], his, side="right")
-    left = i1 > i0
-    right = j0 > j1
-    same = left & right & (i0 == j0 - 1)
-    if np.any(left):
-        np.add.at(usage, leaves["levels"][i0[left]], 1.0)
-    right_only = right & ~same
-    if np.any(right_only):
-        np.add.at(usage, leaves["levels"][j0[right_only] - 1], 1.0)
-    return usage
+    return tree._usage(workload, measured)
 
 
 def predicted_workload_variance(usage: np.ndarray, epsilon: float = 1.0) -> float:

@@ -110,18 +110,34 @@ BAD_PARAMS = [
     ("HybridTree", "kd_levels", -1), ("HybridTree", "kd_levels", 1.5),
     ("HybridTree", "max_height", 0), ("HybridTree", "max_height", -2),
     ("HybridTree", "rho", 0), ("HybridTree", "rho", 1.5), ("HybridTree", "rho", np.nan),
+    ("GreedyW", "branchings", (2.5,)), ("GreedyW", "branchings", ()),
+    ("GreedyW", "branchings", (2, 1)), ("GreedyW", "branchings", 4),
+    ("GreedyW", "branchings", (True,)),
+    ("MWEM", "rounds", 0), ("MWEM", "rounds", -5), ("MWEM", "rounds", 2.5),
+    ("MWEM", "rounds", None),
+    ("MWEM*", "rounds", 0), ("MWEM*", "rounds", 2.5), ("MWEM*", "rounds", "3"),
+    ("SF", "count_bound", -0.4), ("SF", "count_bound", 0), ("SF", "count_bound", np.inf),
+    ("SF", "count_bound", np.nan),
+    ("AHP", "eta", -1), ("AHP", "eta", np.inf), ("AHP", "eta", np.nan),
+    ("AHP", "rho", 0.0), ("AHP", "rho", 1.0), ("AHP*", "eta", -0.5),
+    ("PHP", "rho", 0.0), ("PHP", "rho", 1.0), ("PHP", "rho", np.nan),
+    ("DAWA", "rho", 0), ("DAWA", "rho", 1.0), ("DAWA", "rho", -0.25),
+    ("DPCube", "rho", 0.0), ("DPCube", "rho", 1.0), ("DPCube", "rho", 2),
 ]
 
 
 class TestFreeParameterBoundary:
-    """SF, UGrid, AGrid and the tree-solve users reject unusable free
-    parameters with a ``ValueError`` before any noise is drawn.  Zero
+    """Every algorithm with free parameters rejects unusable values with a ``ValueError`` before any noise is drawn.  Zero
     ``c``/``c2`` used to raise ``ZeroDivisionError`` mid-release, a negative
     ``c`` silently collapsed UGrid to one block, SF replaced a falsy
     ``buckets`` by its default and truncated a fractional one, H released a
     fractional ``branching`` truncated, QuadTree released a root-only tree
-    for a non-positive ``max_height``, and HybridTree drew noise for a
-    negative ``kd_levels``."""
+    for a non-positive ``max_height``, HybridTree drew noise for a
+    negative ``kd_levels``, GreedyW built binary trees for fractional
+    ``branchings``, MWEM ran a non-positive or fractional ``rounds`` as a
+    clamped or truncated count, SF understated its score sensitivity for a
+    negative ``count_bound``, AHP ran a negative ``eta``, and PHP, DAWA and
+    DPCube rejected a bad ``rho`` only inside selection."""
 
     @pytest.mark.parametrize("name,param,value", BAD_PARAMS, ids=repr)
     def test_rejects_before_drawing(self, name, param, value, data_1d, data_2d):
@@ -153,6 +169,18 @@ class TestFreeParameterBoundary:
         ("QuadTree", {"max_height": 1}),
         ("HybridTree", {"kd_levels": 0, "max_height": 1, "rho": 0.999}),
         ("HybridTree", {"kd_levels": np.int64(5), "rho": 1e-3}),
+        ("GreedyW", {"branchings": [np.int64(2)]}),
+        ("GreedyW", {"branchings": (16, 3)}),
+        ("MWEM", {"rounds": 1}),
+        ("MWEM*", {"rounds": np.int64(1)}),
+        ("MWEM*", {"rounds": None}),
+        ("SF", {"count_bound": 1e-9}),
+        ("SF", {"count_bound": np.float64(1e6)}),
+        ("AHP", {"eta": 0, "rho": 1e-3}),
+        ("AHP*", {"eta": np.float64(10.0), "rho": 0.999}),
+        ("PHP", {"rho": 1e-3}),
+        ("DAWA", {"rho": 0.999}),
+        ("DPCube", {"rho": 1e-3}),
     ], ids=repr)
     def test_accepts_boundary_values(self, name, params, data_1d, data_2d, rng):
         algorithm = make_algorithm(name, **params)

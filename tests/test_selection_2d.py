@@ -1,12 +1,15 @@
 """Tests for native 2-D workload-aware selection.
 
 Covers the kd/marginal split schedules of :class:`HierarchicalTree`, the
-per-level 2-D grid tables and their vectorised rank-query usage counts
+per-level tables and their vectorised rank-query usage counts, 1-D and 2-D
 (pinned exactly against the per-query recursion), the greedy 2-D strategy
 search, the exact dense-GLS cross-checks of the scoring model, and GreedyW's
 native 2-D entry point (the Hilbert-flattened path remains its fallback and
 GreedyH/DAWA's prescription).
 """
+
+import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -80,7 +83,8 @@ def _random_measured(tree, rng):
 
 
 class TestSubsetUsage2D:
-    """The vectorised grid-table usage counts against the exact recursion."""
+    """The vectorised rank-query usage counts, 1-D and 2-D, against the exact
+    recursion."""
 
     TREES = [
         dict(branching=2),
@@ -90,18 +94,30 @@ class TestSubsetUsage2D:
         dict(branching=2, split_axes=(1, 0)),
         dict(branching=2, max_height=3),            # aggregated leaves
     ]
+    TREES_1D = (
+        *(dict(branching=b) for b in (2, 3, 4, 16)),
+        *(dict(branching=b, max_height=h)           # aggregated leaves
+          for b, h in itertools.product((2, 3, 16), (0, 2, 3))),
+    )
+    CASES = (
+        *itertools.product([(16, 16), (13, 7), (9, 9), (1, 9), (9, 1)], TREES),
+        *itertools.product([(1,), (2,), (7,), (13,), (97,), (1000,), (1024,)],
+                           TREES_1D),
+    )
 
-    @pytest.mark.parametrize("shape", [(16, 16), (13, 7), (9, 9)])
-    @pytest.mark.parametrize("kwargs", TREES)
+    @pytest.mark.parametrize("shape,kwargs", CASES)
     def test_matches_recursion_exactly(self, shape, kwargs):
-        rng = np.random.default_rng(hash((shape, str(kwargs))) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((shape, kwargs)).encode()))
         tree = HierarchicalTree(shape, **kwargs)
         workload = random_range_workload(shape, 40, rng=rng)
+        all_measured = np.ones(tree.n_levels, dtype=bool)
+        assert tree.level_usage(workload).tobytes() == \
+            subset_usage_reference(tree, workload, all_measured).tobytes()
         for _ in range(4):
             measured = _random_measured(tree, rng)
             fast = subset_level_usage(tree, workload, measured)
             reference = subset_usage_reference(tree, workload, measured)
-            np.testing.assert_array_equal(fast, reference)
+            assert fast.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("kwargs", TREES)
     def test_full_level_usage_matches_recursion(self, kwargs):
@@ -118,12 +134,40 @@ class TestSubsetUsage2D:
         tables refuse and the subset usage falls back to the recursion."""
         tree = HierarchicalTree((3, 8), branching=2, split_axes=(0, 1))
         with pytest.raises(IrregularTreeLevels):
-            tree._level_tables_2d()
+            tree._level_tables()
         workload = random_range_workload((3, 8), 30, rng=1)
         measured = np.ones(tree.n_levels, dtype=bool)
         np.testing.assert_array_equal(
             subset_level_usage(tree, workload, measured),
             subset_usage_reference(tree, workload, measured))
+
+    def test_irregular_level_usage_matches_recursion(self):
+        tree = HierarchicalTree((3, 8), branching=2, split_axes=(0, 1))
+        workload = random_range_workload((3, 8), 30, rng=2)
+        np.testing.assert_array_equal(
+            tree.level_usage(workload),
+            subset_usage_reference(tree, workload,
+                                   np.ones(tree.n_levels, dtype=bool)))
+
+    @pytest.mark.parametrize("tree_kwargs,workload", [
+        (dict(domain_shape=(64,)), random_range_workload((8, 8), 10, rng=0)),
+        (dict(domain_shape=(64,)), repro.prefix_workload(128)),
+        (dict(domain_shape=(8, 8)), repro.prefix_workload(64)),
+        (dict(domain_shape=(8, 8)), random_range_workload((8, 9), 10, rng=0)),
+        (dict(domain_shape=(3, 8), split_axes=(0, 1)),      # irregular levels
+         random_range_workload((8, 3), 10, rng=0)),
+    ], ids=["2d-on-1d", "prefix128-on-64", "1d-on-2d", "8x9-on-8x8",
+            "irregular-transposed"])
+    def test_workload_over_another_domain_rejected(self, tree_kwargs, workload):
+        """A workload over another domain used to be counted silently (a 2-D
+        workload on a 1-D tree read only its first column, out-of-domain
+        prefixes inflated the root) or to fail with an ``IndexError``."""
+        tree = HierarchicalTree(**tree_kwargs)
+        with pytest.raises(ValueError, match="domain"):
+            tree.level_usage(workload)
+        with pytest.raises(ValueError, match="domain"):
+            subset_level_usage(tree, workload,
+                               np.ones(tree.n_levels, dtype=bool))
 
     def test_leaf_level_must_stay_measured(self):
         tree = HierarchicalTree((8, 8), branching=2)
